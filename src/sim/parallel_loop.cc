@@ -7,9 +7,32 @@ namespace fragvisor {
 namespace {
 
 // Which partition the current thread is executing a window for (-1 outside a
-// window). Enforces the SPSC lane discipline: during a window, only the
-// worker that owns partition `src` may write the (src, *) lanes.
+// window). Enforces the outbox discipline: during a window, only the worker
+// that owns partition `src` may append to src's outbox.
 thread_local int tl_current_partition = -1;
+
+// Polls a window-handshake waiter makes before parking on the condvar. One
+// pause takes about 20 ns on a 4-vCPU Xeon VM, so this spins for about
+// 10 us: enough to catch the short handoffs of sparse windows without a
+// futex round trip, short enough that an oversubscribed host (ctest -j
+// running 8-thread tests on 4 cores) parks before it burns much time.
+// Longer spins made two-worker runs faster on an idle host and `ctest -j4`
+// slower; shorter ones the reverse.
+constexpr int kSpinIterations = 500;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Drain keys pack (dst, src, outbox index) so that sorting them yields the
+// (dst, src, FIFO) commit order.
+constexpr int kKeyIndexBits = 32;
+constexpr int kKeySrcShift = kKeyIndexBits;
+constexpr int kKeyDstShift = kKeyIndexBits + 16;
 
 }  // namespace
 
@@ -24,8 +47,7 @@ ParallelEventLoop::ParallelEventLoop(Options options) : opt_(options) {
   for (int p = 0; p < opt_.num_partitions; ++p) {
     parts_.push_back(std::make_unique<Partition>());
   }
-  lanes_.resize(static_cast<size_t>(opt_.num_partitions) *
-                static_cast<size_t>(opt_.num_partitions));
+  next_time_.assign(static_cast<size_t>(opt_.num_partitions), EventLoop::kNoPendingEvent);
 
   // Thread 0 is the coordinating (calling) thread; it runs its own share of
   // partitions inside each window, so only num_threads - 1 workers spawn.
@@ -36,11 +58,8 @@ ParallelEventLoop::ParallelEventLoop(Options options) : opt_(options) {
 
 ParallelEventLoop::~ParallelEventLoop() {
   if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      shutdown_ = true;
-    }
-    cv_.notify_all();
+    shutdown_.store(true);
+    Wake();
     for (std::thread& w : workers_) {
       w.join();
     }
@@ -71,14 +90,14 @@ CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
     FV_CHECK_EQ(src, tl_current_partition);
   }
 
+  Partition& s = *parts_[static_cast<size_t>(src)];
   CrossEventId token = kInvalidCrossEventId;
   if (cancellable) {
-    Partition& s = *parts_[static_cast<size_t>(src)];
     FV_CHECK_LT(s.next_token, 0xffffffffu);
     token = (static_cast<uint64_t>(src) << 48) |
             (static_cast<uint64_t>(dst) << 32) | s.next_token++;
   }
-  LaneFor(src, dst).entries.push_back({token, when, relay_delay, /*cancel=*/false, std::move(cb)});
+  s.outbox.push_back({token, when, relay_delay, dst, /*cancel=*/false, std::move(cb)});
   return token;
 }
 
@@ -96,83 +115,137 @@ bool ParallelEventLoop::CancelCross(int from, CrossEventId id) {
   if (running_) {
     FV_CHECK_EQ(from, tl_current_partition);
   }
-  LaneFor(from, dst).entries.push_back({id, 0, 0, /*cancel=*/true, nullptr});
+  parts_[static_cast<size_t>(from)]->outbox.push_back(
+      {id, 0, 0, dst, /*cancel=*/true, nullptr});
   return true;
 }
 
 void ParallelEventLoop::DrainMailboxes() {
-  const int P = opt_.num_partitions;
-  for (int dst = 0; dst < P; ++dst) {
-    Partition& d = *parts_[static_cast<size_t>(dst)];
+  drain_keys_.clear();
+  for (int src = 0; src < opt_.num_partitions; ++src) {
+    const std::vector<MailEntry>& outbox = parts_[static_cast<size_t>(src)]->outbox;
+    FV_CHECK_LT(outbox.size(), uint64_t{1} << kKeyIndexBits);
+    for (size_t i = 0; i < outbox.size(); ++i) {
+      drain_keys_.push_back((static_cast<uint64_t>(outbox[i].dst) << kKeyDstShift) |
+                            (static_cast<uint64_t>(src) << kKeySrcShift) | i);
+    }
+  }
+  if (drain_keys_.empty()) {
+    return;
+  }
+  std::sort(drain_keys_.begin(), drain_keys_.end());
+  const auto entry = [this](uint64_t key) -> MailEntry& {
+    const size_t src = static_cast<size_t>((key >> kKeySrcShift) & 0xffffu);
+    return parts_[src]->outbox[key & ((uint64_t{1} << kKeyIndexBits) - 1)];
+  };
+
+  for (size_t begin = 0; begin < drain_keys_.size();) {
+    const uint64_t dst_bits = drain_keys_[begin] >> kKeyDstShift;
+    size_t end = begin;
+    while (end < drain_keys_.size() && drain_keys_[end] >> kKeyDstShift == dst_bits) {
+      ++end;
+    }
+    const size_t dst = static_cast<size_t>(dst_bits);
+    Partition& d = *parts_[dst];
     // Pass 1: commit schedules in (src, FIFO) order — this fixes the
     // destination sequence numbers of equal-time cross events independent of
     // which thread produced them, and guarantees a cancel mailed in the same
     // window as its schedule finds the event committed.
-    for (int src = 0; src < P; ++src) {
-      for (MailEntry& e : LaneFor(src, dst).entries) {
-        if (e.cancel) {
-          continue;
-        }
-        ++stats_.mailbox_events;
-        const EventId eid =
-            e.relay > 0 ? d.loop.ScheduleRelay(e.when, e.relay, std::move(e.cb))
-                        : d.loop.ScheduleAt(e.when, std::move(e.cb));
-        if (e.token != kInvalidCrossEventId) {
-          d.cancellable.emplace(e.token, eid);
-        }
+    for (size_t k = begin; k < end; ++k) {
+      MailEntry& e = entry(drain_keys_[k]);
+      if (e.cancel) {
+        continue;
+      }
+      ++stats_.mailbox_events;
+      const EventId eid =
+          e.relay > 0 ? d.loop.ScheduleRelay(e.when, e.relay, std::move(e.cb))
+                      : d.loop.ScheduleAt(e.when, std::move(e.cb));
+      if (e.token != kInvalidCrossEventId) {
+        d.cancellable.emplace(e.token, eid);
       }
     }
     // Pass 2: apply cancels. EventLoop::Cancel rejects handles of events
     // that already fired (slot generations), which is exactly the "late"
     // case of the routed-cancel contract.
-    for (int src = 0; src < P; ++src) {
-      Lane& lane = LaneFor(src, dst);
-      for (const MailEntry& e : lane.entries) {
-        if (!e.cancel) {
-          continue;
-        }
-        ++stats_.cross_cancels_routed;
-        auto it = d.cancellable.find(e.token);
-        if (it != d.cancellable.end() && d.loop.Cancel(it->second)) {
-          ++stats_.cross_cancels_applied;
-        } else {
-          ++stats_.cross_cancels_late;
-        }
-        if (it != d.cancellable.end()) {
-          d.cancellable.erase(it);
-        }
+    for (size_t k = begin; k < end; ++k) {
+      const MailEntry& e = entry(drain_keys_[k]);
+      if (!e.cancel) {
+        continue;
       }
-      lane.entries.clear();
+      ++stats_.cross_cancels_routed;
+      auto it = d.cancellable.find(e.token);
+      if (it != d.cancellable.end() && d.loop.Cancel(it->second)) {
+        ++stats_.cross_cancels_applied;
+      } else {
+        ++stats_.cross_cancels_late;
+      }
+      if (it != d.cancellable.end()) {
+        d.cancellable.erase(it);
+      }
     }
+    next_time_[dst] = d.loop.next_event_time();
+    begin = end;
+  }
+  for (const auto& p : parts_) {
+    p->outbox.clear();
   }
 }
 
 void ParallelEventLoop::RunWindows(int thread_index) {
-  for (int p = thread_index; p < opt_.num_partitions; p += opt_.num_threads) {
+  for (const int p : active_) {
+    if (p % opt_.num_threads != thread_index) {
+      continue;
+    }
     tl_current_partition = p;
     Partition& part = *parts_[static_cast<size_t>(p)];
     part.dispatched += part.loop.RunBelow(horizon_);
+    next_time_[static_cast<size_t>(p)] = part.loop.next_event_time();
   }
   tl_current_partition = -1;
 }
 
+template <typename Ready>
+void ParallelEventLoop::SpinThenPark(Ready ready) {
+  for (int i = 0; i < kSpinIterations; ++i) {
+    if (ready()) {
+      return;
+    }
+    CpuRelax();
+  }
+  // Parking is a Dekker handshake with Wake(): the waiter publishes parked_
+  // before re-checking `ready`, the waker publishes its state change before
+  // reading parked_ (all seq_cst), so at least one of them sees the other.
+  std::unique_lock<std::mutex> lk(mu_);
+  parked_.fetch_add(1);
+  cv_.wait(lk, ready);
+  parked_.fetch_sub(1);
+}
+
+void ParallelEventLoop::Wake() {
+  if (parked_.load() == 0) {
+    return;
+  }
+  // Taking the mutex orders this notify after a parking waiter's re-check.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+  }
+  cv_.notify_all();
+}
+
 void ParallelEventLoop::WorkerMain(int thread_index) {
+  // Not workers_.size(): the constructor may still be spawning the pool.
+  const int num_workers = opt_.num_threads - 1;
   uint64_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return shutdown_ || epoch_ != seen; });
-      if (shutdown_) {
-        return;
-      }
-      seen = epoch_;
+    SpinThenPark([&] { return shutdown_.load() || epoch_.load() != seen; });
+    if (shutdown_.load()) {
+      return;
     }
+    seen = epoch_.load();
     RunWindows(thread_index);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++done_;
+    if (done_.fetch_add(1) + 1 == num_workers) {
+      Wake();
     }
-    cv_.notify_all();
   }
 }
 
@@ -180,32 +253,42 @@ size_t ParallelEventLoop::Run() {
   FV_CHECK(!running_);
   running_ = true;
   const int num_workers = static_cast<int>(workers_.size());
-  TimeNs last_horizon = 0;
+  // Setup may have scheduled partition-local events since the last run.
+  for (int p = 0; p < opt_.num_partitions; ++p) {
+    next_time_[static_cast<size_t>(p)] = parts_[static_cast<size_t>(p)]->loop.next_event_time();
+  }
   for (;;) {
     DrainMailboxes();
     TimeNs tmin = EventLoop::kNoPendingEvent;
-    for (const auto& p : parts_) {
-      tmin = std::min(tmin, p->loop.next_event_time());
+    for (const TimeNs t : next_time_) {
+      tmin = std::min(tmin, t);
     }
     if (tmin == EventLoop::kNoPendingEvent) {
       break;
     }
-    horizon_ = tmin + opt_.lookahead;
+    const TimeNs horizon = tmin + opt_.lookahead;
+    if (stats_.barriers > 0) {
+      stats_.horizon_width_ns.Record(static_cast<double>(horizon - horizon_));
+    }
+    horizon_ = horizon;
     ++stats_.barriers;
-    stats_.horizon_width_ns.Record(static_cast<double>(horizon_ - last_horizon));
-    last_horizon = horizon_;
+    // A partition below the horizon dispatches at least one event; the rest
+    // would dispatch none, so the window skips them.
+    active_.clear();
+    for (int p = 0; p < opt_.num_partitions; ++p) {
+      if (next_time_[static_cast<size_t>(p)] < horizon_) {
+        active_.push_back(p);
+      }
+    }
+    stats_.partitions_run.Record(static_cast<double>(active_.size()));
     if (num_workers == 0) {
       RunWindows(0);
     } else {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        done_ = 0;
-        ++epoch_;
-      }
-      cv_.notify_all();
+      done_.store(0);
+      epoch_.fetch_add(1);
+      Wake();
       RunWindows(0);
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return done_ == num_workers; });
+      SpinThenPark([&] { return done_.load() == num_workers; });
     }
   }
   running_ = false;

@@ -6,12 +6,18 @@
 // nanoseconds after it was scheduled (for Fabric traffic the minimum link
 // latency provides that bound), so the coordinator can repeatedly
 //
-//   1. drain all cross-partition mailboxes into the destination queues,
-//   2. compute Tmin = min over partitions of next_event_time(),
-//   3. let every partition execute its own queue up to the safe horizon
-//      Tmin + lookahead in parallel, buffering new cross-partition events
-//      in per-(src,dst) mailbox lanes,
+//   1. drain every source partition's outbox into the destination queues,
+//      refreshing the cached clock of each destination it commits to,
+//   2. compute Tmin = min over the cached partition clocks (each partition's
+//      next_event_time()),
+//   3. let every partition whose clock is below the safe horizon
+//      Tmin + lookahead execute its own queue up to that horizon in parallel,
+//      buffering new cross-partition events in its own outbox and caching
+//      its next_event_time() when it finishes,
 //   4. barrier and repeat.
+//
+// A window therefore costs O(cross messages + partitions with work), plus
+// one scan of the P cached clocks — never the P^2 (src, dst) pairs.
 //
 // No event executed inside a window can schedule a cross-partition event
 // inside that same window (arrival >= send_time + lookahead >= Tmin +
@@ -20,21 +26,26 @@
 //
 // Determinism contract: the horizon sequence is a pure function of queue
 // state, each partition's queue executes in its own (time, seq) order, and
-// mailbox lanes are drained in a fixed (dst, src, FIFO) order at each
-// barrier — so commit order, and therefore every simulation output, is
-// byte-identical at any worker count, including 1.
+// at each barrier the outbox entries are sorted by (dst, src, FIFO) and
+// committed per destination, schedules before cancels — so commit order, and
+// therefore every simulation output, is byte-identical at any worker count,
+// including 1.
 //
-// Memory model: lane vectors are plain (non-atomic) storage. During a window
-// a lane is written only by the thread running its source partition; at a
-// barrier it is read and cleared only by the coordinator. The mutex/condvar
-// window handshake that delimits windows carries the necessary happens-before
-// edges, so writer and reader phases strictly alternate and the lanes are
-// data-race free (ThreadSanitizer-clean) without per-operation
-// synchronization.
+// Memory model: outboxes and cached clocks are plain (non-atomic) storage.
+// During a window a partition's outbox and clock slot are written only by
+// the thread that owns the partition; at a barrier both are read and reset
+// only by the coordinator. The window handshake is an atomic epoch (bumped by
+// the coordinator to open a window) and an atomic done counter (bumped by
+// each worker when it finishes); waiters spin on them for a bounded number
+// of iterations and then park on a mutex/condvar pair. The epoch and counter
+// carry the happens-before edges, so writer and reader phases strictly
+// alternate and the shared storage is data-race free (ThreadSanitizer-clean)
+// without per-operation synchronization.
 
 #ifndef FRAGVISOR_SRC_SIM_PARALLEL_LOOP_H_
 #define FRAGVISOR_SRC_SIM_PARALLEL_LOOP_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -79,7 +90,10 @@ class ParallelEventLoop {
     uint64_t cross_cancels_routed = 0;
     uint64_t cross_cancels_applied = 0;
     uint64_t cross_cancels_late = 0;   // target already fired (or unknown)
-    Summary horizon_width_ns;          // per-barrier horizon advance, in ns
+    // Horizon advance between consecutive windows, in ns (across Run() calls;
+    // the first window ever has no predecessor and records nothing).
+    Summary horizon_width_ns;
+    Summary partitions_run;            // partitions dispatching >= 1 event per window
     std::vector<uint64_t> events_per_partition;
   };
 
@@ -117,7 +131,7 @@ class ParallelEventLoop {
                              Callback cb, bool cancellable = false);
 
   // Requests cancellation of a cancellable cross event. The request is routed
-  // through `from`'s mailbox lane to the owning partition and applied at the
+  // through `from`'s outbox to the owning partition and applied at the
   // next barrier. Guaranteed to win if the target fires >= one lookahead
   // after the canceller's current time; otherwise it is best-effort (the
   // event may fire first, counted as cross_cancels_late). Returns false only
@@ -148,25 +162,23 @@ class ParallelEventLoop {
   }
 
  private:
-  // One mailbox entry: a cross schedule (cb != nullptr) or a cross cancel
-  // (cb == nullptr, token identifies the victim).
+  // One outbox entry: a cross schedule (cb != nullptr) or a cross cancel
+  // (cb == nullptr, token identifies the victim), bound for partition `dst`.
   struct MailEntry {
     CrossEventId token = kInvalidCrossEventId;
     TimeNs when = 0;
     TimeNs relay = 0;
+    int dst = 0;
     bool cancel = false;  // true: withdraw `token` instead of scheduling `cb`
     Callback cb;
   };
 
-  // SPSC lane from one source partition into one destination partition.
-  // Written by the source's worker during a window; drained by the
-  // coordinator at the barrier (see memory-model note above).
-  struct Lane {
-    std::vector<MailEntry> entries;
-  };
-
   struct Partition {
     EventLoop loop;
+    // Cross events this (src) partition sent during the current window, in
+    // send order. Written by the owning worker during a window; drained by
+    // the coordinator at the barrier (see memory-model note above).
+    std::vector<MailEntry> outbox;
     uint32_t next_token = 1;  // per-source cancellable-event counter
     // Committed-but-unfired cancellable events owned by this (dst) partition.
     // Values may go stale after the event fires; EventLoop::Cancel rejects
@@ -175,33 +187,39 @@ class ParallelEventLoop {
     uint64_t dispatched = 0;
   };
 
-  Lane& LaneFor(int src, int dst) {
-    return lanes_[static_cast<size_t>(src) * static_cast<size_t>(opt_.num_partitions) +
-                  static_cast<size_t>(dst)];
-  }
-
-  // Coordinator, between windows: commits all lane entries (schedules first,
-  // then cancels) in deterministic (dst, src, FIFO) order.
+  // Coordinator, between windows: commits all outbox entries in
+  // deterministic (dst, src, FIFO) order, each destination's schedules
+  // before its cancels.
   void DrainMailboxes();
-  // Runs every partition owned by `thread_index` up to horizon_.
+  // Runs every active partition owned by `thread_index` up to horizon_.
   void RunWindows(int thread_index);
   void WorkerMain(int thread_index);
+  // Window handshake: spins on `ready` for a bounded number of iterations,
+  // then parks on cv_ (counted in parked_ so Wake() knows to notify).
+  template <typename Ready>
+  void SpinThenPark(Ready ready);
+  void Wake();
 
   Options opt_;
   std::vector<std::unique_ptr<Partition>> parts_;
-  std::vector<Lane> lanes_;  // [src * P + dst]
+  // next_time_[p] caches parts_[p]->loop.next_event_time(); written by p's
+  // owner after its window and by the coordinator at Run() start and drain.
+  std::vector<TimeNs> next_time_;
+  std::vector<int> active_;           // partitions below horizon_ this window
+  std::vector<uint64_t> drain_keys_;  // (dst, src, outbox index), packed
   RunStats stats_;
 
-  // Window handshake. horizon_ is plain data: written by the coordinator
-  // before the epoch bump, read by workers after observing it under mu_.
+  // Window handshake. horizon_ and active_ are plain data: written by the
+  // coordinator before the epoch bump, read by workers after observing it.
   TimeNs horizon_ = 0;
   bool running_ = false;
   std::vector<std::thread> workers_;
-  std::mutex mu_;
+  std::atomic<uint64_t> epoch_{0};
+  std::atomic<int> done_{0};
+  std::atomic<bool> shutdown_{false};
+  std::mutex mu_;  // parking only
   std::condition_variable cv_;
-  uint64_t epoch_ = 0;    // guarded by mu_
-  int done_ = 0;          // guarded by mu_
-  bool shutdown_ = false;  // guarded by mu_
+  std::atomic<int> parked_{0};  // threads parked (or about to park) on cv_
 };
 
 }  // namespace fragvisor

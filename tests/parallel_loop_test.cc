@@ -137,6 +137,190 @@ TEST(ParallelLoopTest, IdenticalScheduleAtAnyWorkerCount) {
   EXPECT_FALSE(t1.empty());
 }
 
+TEST(ParallelLoopTest, DrainCommitsEachDestinationInSourceThenFifoOrder) {
+  // Sources 7, 5, 3, 1 send (in that simulated order, i.e. descending src)
+  // plain and relay cross events to destinations 0 and 4 that all land at
+  // the same instant. Each destination must commit them in (src ascending,
+  // FIFO) order whatever the worker count. Partition 2 cancels an event that
+  // partition 6 schedules in the same window: the cancel drains from the
+  // lower source, yet must still find its schedule.
+  constexpr int kParts = 8;
+  constexpr TimeNs kLand = 200;
+  constexpr TimeNs kRelay = 10;
+  const auto run = [&](int num_threads, ParallelEventLoop::RunStats* stats) {
+    ParallelEventLoop::Options po;
+    po.num_partitions = kParts;
+    po.num_threads = num_threads;
+    po.lookahead = 100;
+    ParallelEventLoop ploop(po);
+    std::vector<std::string> transcript(kParts);
+    const auto note = [&ploop, &transcript](int dst, std::string tag) {
+      return [&ploop, &transcript, dst, tag] {
+        transcript[static_cast<size_t>(dst)] +=
+            tag + "@" + std::to_string(ploop.partition(dst)->now()) + " ";
+      };
+    };
+    for (const int src : {7, 5, 3, 1}) {
+      const std::string s = std::to_string(src);
+      ploop.partition(src)->ScheduleAt(8 - src, [&ploop, &note, src, s] {
+        ploop.ScheduleCross(src, 0, kLand, 0, note(0, s + "a"));
+        ploop.ScheduleCross(src, 0, kLand, kRelay, note(0, s + "r"));
+        ploop.ScheduleCross(src, 0, kLand, 0, note(0, s + "b"));
+        ploop.ScheduleCross(src, 4, kLand, 0, note(4, s + "a"));
+        ploop.ScheduleCross(src, 4, kLand, 0, note(4, s + "b"));
+      });
+    }
+    // Handles are [src:16][dst:16][seq:32] with a per-source counter from 1,
+    // so partition 2 can name partition 6's first cancellable event without
+    // sharing any state across partitions.
+    constexpr CrossEventId kVictim = (CrossEventId{6} << 48) | (CrossEventId{0} << 32) | 1;
+    CrossEventId scheduled = kInvalidCrossEventId;
+    ploop.partition(6)->ScheduleAt(9, [&ploop, &note, &scheduled] {
+      scheduled = ploop.ScheduleCross(6, 0, kLand, 0, note(0, "victim"), /*cancellable=*/true);
+    });
+    ploop.partition(2)->ScheduleAt(10, [&ploop] { EXPECT_TRUE(ploop.CancelCross(2, kVictim)); });
+    ploop.Run();
+    EXPECT_EQ(scheduled, kVictim);
+    *stats = ploop.stats();
+    std::string flat;
+    for (int p = 0; p < kParts; ++p) {
+      flat += std::to_string(p) + ": " + transcript[static_cast<size_t>(p)] + "\n";
+    }
+    return flat;
+  };
+  ParallelEventLoop::RunStats s1;
+  const std::string t1 = run(1, &s1);
+  EXPECT_EQ(t1,
+            "0: 1a@200 1b@200 3a@200 3b@200 5a@200 5b@200 7a@200 7b@200 "
+            "1r@210 3r@210 5r@210 7r@210 \n"
+            "1: \n2: \n3: \n"
+            "4: 1a@200 1b@200 3a@200 3b@200 5a@200 5b@200 7a@200 7b@200 \n"
+            "5: \n6: \n7: \n");
+  EXPECT_EQ(s1.mailbox_events, 21u);
+  EXPECT_EQ(s1.cross_cancels_routed, 1u);
+  EXPECT_EQ(s1.cross_cancels_applied, 1u);
+  EXPECT_EQ(s1.cross_cancels_late, 0u);
+  for (const int threads : {2, 4}) {
+    ParallelEventLoop::RunStats s;
+    EXPECT_EQ(run(threads, &s), t1) << "threads=" << threads;
+    EXPECT_EQ(s.barriers, s1.barriers) << "threads=" << threads;
+    EXPECT_EQ(s.cross_cancels_applied, 1u) << "threads=" << threads;
+    EXPECT_EQ(s.partitions_run.sum(), s1.partitions_run.sum()) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelLoopTest, IdlePartitionWakesWhenACrossEventArrives) {
+  // Partitions 0 and 1 ping-pong for many windows while partition 3 has
+  // nothing to do; then a cross event wakes it. Its cached clock must be
+  // refreshed by the drain, or it would never run again.
+  const auto run = [](int num_threads, ParallelEventLoop::RunStats* stats) {
+    ParallelEventLoop::Options po;
+    po.num_partitions = 4;
+    po.num_threads = num_threads;
+    po.lookahead = 10;
+    ParallelEventLoop ploop(po);
+    struct Pong {
+      ParallelEventLoop* ploop;
+      std::vector<TimeNs>* woke;
+      int hop;
+      void operator()() const {
+        const int side = hop % 2;
+        const TimeNs now = ploop->partition(side)->now();
+        if (hop == 40) {
+          ParallelEventLoop* pl = ploop;
+          std::vector<TimeNs>* w = woke;
+          ploop->ScheduleCross(side, 3, now + 25, 0, [pl, w] {
+            w->push_back(pl->partition(3)->now());
+            // A partition-local follow-up, long after the ping-pong ends.
+            pl->partition(3)->ScheduleAfter(5000, [pl, w] { w->push_back(pl->partition(3)->now()); });
+          });
+        }
+        if (hop < 60) {
+          ploop->ScheduleCross(side, 1 - side, now + 10, 0, Pong{ploop, woke, hop + 1});
+        }
+      }
+    };
+    std::vector<TimeNs> woke;
+    ploop.partition(0)->ScheduleAt(0, Pong{&ploop, &woke, 0});
+    ploop.Run();
+    *stats = ploop.stats();
+    return woke;
+  };
+  ParallelEventLoop::RunStats s1;
+  const std::vector<TimeNs> woke = run(1, &s1);
+  EXPECT_EQ(woke, (std::vector<TimeNs>{425, 5425}));
+  EXPECT_EQ(s1.events_per_partition, (std::vector<uint64_t>{31, 30, 0, 2}));
+  // One ping-pong side per window, plus partition 3 once.
+  EXPECT_EQ(s1.partitions_run.count(), s1.barriers);
+  EXPECT_EQ(s1.partitions_run.min(), 1.0);
+  EXPECT_EQ(s1.partitions_run.sum(), 63.0);
+  for (const int threads : {2, 4}) {
+    ParallelEventLoop::RunStats s;
+    EXPECT_EQ(run(threads, &s), woke) << "threads=" << threads;
+    EXPECT_EQ(s.events_per_partition, s1.events_per_partition) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelLoopTest, ScheduleCrossFromSetupBeforeAndBetweenRuns) {
+  for (const int threads : {1, 2, 4}) {
+    ParallelEventLoop::Options po;
+    po.num_partitions = 4;
+    po.num_threads = threads;
+    po.lookahead = 50;
+    ParallelEventLoop ploop(po);
+    std::vector<std::string> log(4);
+    const auto note = [&ploop, &log](int dst, const char* tag) {
+      return [&ploop, &log, dst, tag] {
+        log[static_cast<size_t>(dst)] +=
+            std::string(tag) + "@" + std::to_string(ploop.partition(dst)->now()) + " ";
+      };
+    };
+    // Before the first Run(): plain and relayed setup sends, plus a
+    // cancellable one withdrawn before it can fire.
+    ploop.ScheduleCross(0, 2, 100, 0, note(2, "first"));
+    ploop.ScheduleCross(1, 2, 100, 20, note(2, "relay"));
+    const CrossEventId doomed = ploop.ScheduleCross(3, 2, 150, 0, note(2, "doomed"), true);
+    ASSERT_NE(doomed, kInvalidCrossEventId);
+    EXPECT_TRUE(ploop.CancelCross(0, doomed));
+    EXPECT_EQ(ploop.Run(), 3u);  // "first", plus the relay's delivery and handler hops
+    EXPECT_EQ(log[2], "first@100 relay@120 ");
+    EXPECT_EQ(ploop.stats().cross_cancels_applied, 1u);
+
+    // Between runs: the next run drains these before computing its horizon.
+    ploop.ScheduleCross(2, 1, 1000, 0, note(1, "second"));
+    ploop.ScheduleCross(3, 0, 1000, 0, note(0, "second"));
+    EXPECT_EQ(ploop.Run(), 5u);  // cumulative across runs
+    EXPECT_EQ(log[0], "second@1000 ");
+    EXPECT_EQ(log[1], "second@1000 ");
+    EXPECT_EQ(ploop.stats().mailbox_events, 5u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelLoopTest, HorizonWidthRecordsAdvancesAcrossRuns) {
+  // The first run's windows are 100 ms apart and end at 500 ms; the second
+  // run starts at 1 s. The widest real advance between consecutive windows
+  // is therefore 500 ms — never the second run's absolute start time.
+  ParallelEventLoop::Options po;
+  po.num_partitions = 2;
+  po.num_threads = 1;
+  po.lookahead = Micros(1);
+  ParallelEventLoop ploop(po);
+  for (int k = 0; k <= 5; ++k) {
+    ploop.partition(k % 2)->ScheduleAt(Millis(100) * k, [] {});
+  }
+  ploop.Run();
+  EXPECT_EQ(ploop.stats().horizon_width_ns.max(), static_cast<double>(Millis(100)));
+  for (int k = 0; k <= 2; ++k) {
+    ploop.partition(k % 2)->ScheduleAt(Seconds(1) + Millis(100) * k, [] {});
+  }
+  ploop.Run();
+  const ParallelEventLoop::RunStats& s = ploop.stats();
+  EXPECT_EQ(s.barriers, 9u);
+  EXPECT_EQ(s.horizon_width_ns.count(), 8u);
+  EXPECT_EQ(s.horizon_width_ns.max(), static_cast<double>(Millis(500)));
+  EXPECT_EQ(s.horizon_width_ns.min(), static_cast<double>(Millis(100)));
+}
+
 // --- DSM storm byte-identity across worker counts -------------------------
 
 StormOptions SmallStorm() {

@@ -36,11 +36,15 @@ for config in "${configs[@]}"; do
   cmake --build "$build_dir" -j "$jobs" >/dev/null
   if [ "$config" = "tsan" ]; then
     # ThreadSanitizer leg: the parallel simulation core is the only place
-    # worker threads touch shared state, so only the parallel tier-1 suites
-    # (ParallelLoop/ParallelCancel/ParallelStorm, which run the coordinator
-    # plus worker pool at up to 8 threads) need the instrumented run.
+    # worker threads touch shared state, so only the suites that drive the
+    # coordinator plus worker pool need the instrumented run: the parallel
+    # tier-1 suites (ParallelLoop/ParallelCancel/ParallelStorm, up to 8
+    # threads), the marketplace's worker-count byte-compare (the heaviest
+    # outbox and handshake traffic), and the legacy stack hosted on the
+    # parallel engine.
     echo "=== [$config] ctest (tier1 parallel core) ==="
-    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L tier1 -R 'Parallel'
+    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L tier1 \
+      -R 'Parallel|MarketplaceTest\.ReportByteIdenticalAcrossWorkerCounts|ClusterThreadsTest'
     continue
   fi
 

@@ -694,6 +694,8 @@ int RunStormCmd(const Args& args) {
                 c.barriers > 0 ? static_cast<double>(c.events_dispatched) /
                                      static_cast<double>(c.barriers)
                                : 0.0);
+    std::printf("  partitions run     mean %.1f, min %.0f, max %.0f per window\n",
+                c.partitions_run.mean(), c.partitions_run.min(), c.partitions_run.max());
     std::printf("  horizon advance    mean %.0f ns, min %.0f, max %.0f\n",
                 c.horizon_width_ns.mean(), c.horizon_width_ns.min(), c.horizon_width_ns.max());
     std::printf("  events/partition   min %llu, mean %.1f, max %llu\n",
