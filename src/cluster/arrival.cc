@@ -44,19 +44,6 @@ const char* ArrivalKindName(ArrivalKind kind) {
   return "?";
 }
 
-bool ParseArrivalKind(const std::string& s, ArrivalKind* out) {
-  if (s == "poisson") {
-    *out = ArrivalKind::kPoisson;
-  } else if (s == "diurnal") {
-    *out = ArrivalKind::kDiurnal;
-  } else if (s == "flash") {
-    *out = ArrivalKind::kFlash;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::vector<VmArrival> GenerateArrivalTrace(const ArrivalTraceOptions& opts) {
   FV_CHECK_GT(opts.vms, 0);
   FV_CHECK_GT(opts.span, 0);

@@ -33,8 +33,6 @@ enum class ArrivalKind : uint8_t {
 };
 
 const char* ArrivalKindName(ArrivalKind kind);
-// Parses "poisson" / "diurnal" / "flash"; returns false on anything else.
-bool ParseArrivalKind(const std::string& s, ArrivalKind* out);
 
 struct VmArrival {
   uint64_t vm = 0;           // tenant id, 1-based, dense

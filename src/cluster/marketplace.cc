@@ -26,6 +26,9 @@ constexpr uint64_t kPageBytes = 4096 + 64;
 constexpr uint64_t kJournalBytes = 64;  // admission/lease-book delta record
 constexpr uint64_t kBeatBytes = 64;     // orchestrator -> successor heartbeat
 
+// Versions the snapshot fingerprint over MarketplaceOptionTable().
+constexpr const char* kOptionsTag = "marketplace-v2";
+
 // Control-token ops, multiplexed over MsgKind::kVcpuMigration (orchestrator
 // -> node), MsgKind::kControl (node -> orchestrator, plus heartbeats) and,
 // for the failover journal, MsgKind::kCheckpointData (orchestrator ->
@@ -227,7 +230,6 @@ class Marketplace {
   bool WaveTerminal(int wave) const;
   void CheckWaveDrained(int wave);
   std::string Save();
-  uint64_t ConfigFingerprint() const;
   uint64_t Digest() const;
 
   // Orchestrator (runs on orch_node_'s partition).
@@ -1730,64 +1732,6 @@ void Marketplace::RetryVmDone(uint64_t vm) {
 
 // --- Snapshot (quiesce points only: a fully drained admission wave) ---
 
-uint64_t Marketplace::ConfigFingerprint() const {
-  std::string s = "marketplace-v1";
-  const auto add = [&s](const std::string& v) {
-    s += '|';
-    s += v;
-  };
-  add(std::to_string(opts_.num_nodes));
-  add(std::to_string(opts_.vcpus_per_node));
-  add(std::to_string(opts_.mem_per_node));
-  add(ArrivalKindName(opts_.trace.kind));
-  add(std::to_string(opts_.trace.vms));
-  add(std::to_string(opts_.trace.span));
-  add(std::to_string(opts_.trace.seed));
-  add(std::to_string(opts_.trace.max_vcpus));
-  add(std::to_string(opts_.trace.mem_per_vcpu));
-  add(std::to_string(opts_.trace.requests_per_vcpu));
-  add(std::to_string(opts_.trace.remote_frac));
-  add(opts_.policy);
-  add(std::to_string(opts_.epochs));
-  add(std::to_string(opts_.reclamation ? 1 : 0));
-  add(std::to_string(opts_.think_ns));
-  add(std::to_string(opts_.service_ns));
-  add(std::to_string(opts_.page_service_ns));
-  add(std::to_string(opts_.qos ? 1 : 0));
-  add(std::to_string(opts_.coalesced_acks ? 1 : 0));
-  add(std::to_string(opts_.link.latency));
-  add(std::to_string(opts_.link.bytes_per_second));
-  add(std::to_string(opts_.latency_jitter_ns));
-  add(std::to_string(opts_.faults.seed));
-  add(std::to_string(opts_.faults.drop_prob));
-  add(std::to_string(opts_.faults.dup_prob));
-  add(std::to_string(opts_.faults.extra_delay_max));
-  for (const MarketplaceFaultOptions::Crash& c : opts_.faults.crashes) {
-    add(std::to_string(c.node) + "@" + std::to_string(c.at));
-  }
-  for (const MarketplaceFaultOptions::Restart& c : opts_.faults.restarts) {
-    add(std::to_string(c.node) + "@" + std::to_string(c.at));
-  }
-  for (const MarketplaceFaultOptions::Partition& p : opts_.faults.partitions) {
-    add(std::to_string(p.a) + "-" + std::to_string(p.b) + "@" + std::to_string(p.from) + "-" +
-        std::to_string(p.until));
-  }
-  add(std::to_string(opts_.failover.heartbeat_ns));
-  add(std::to_string(opts_.failover.fail_phi));
-  add(std::to_string(opts_.failover.phi_window));
-  add(std::to_string(opts_.failover.probe_interval_ns));
-  add(std::to_string(opts_.failover.done_retry_ns));
-  add(std::to_string(opts_.failover.done_retry_limit));
-  add(std::to_string(static_cast<int>(opts_.topology.kind)));
-  add(std::to_string(opts_.topology.pod_size));
-  add(std::to_string(opts_.topology.oversub));
-  add(std::to_string(opts_.topology.core_planes));
-  add(std::to_string(opts_.rdma_read ? 1 : 0));
-  add(std::to_string(opts_.compress ? 1 : 0));
-  add(std::to_string(opts_.compress_seed));
-  return SnapshotHashString(s);
-}
-
 std::string Marketplace::Save() {
   // The drained boundary leaves no live tenants, leases, or queued VMs —
   // only outcomes, counters, clocks, and the lease book's id/counter state
@@ -1799,7 +1743,7 @@ std::string Marketplace::Save() {
 
   SnapshotWriter w;
   w.BeginSection("mkt.run");
-  w.U64(ConfigFingerprint());
+  w.U64(OptionsFingerprint(kOptionsTag, MarketplaceOptionTable(), opts_));
   w.U32(static_cast<uint32_t>(completed_waves_));
   w.U64(events_);
 
@@ -1900,7 +1844,7 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
   const uint32_t waves_done = r.U32();
   const uint64_t events = r.U64();
   if (!r.ok()) return fail();
-  if (fingerprint != ConfigFingerprint()) {
+  if (fingerprint != OptionsFingerprint(kOptionsTag, MarketplaceOptionTable(), opts_)) {
     r.FailExternal("marketplace: snapshot was taken under different MarketplaceOptions");
     return fail();
   }
@@ -2260,6 +2204,84 @@ const char* VmFailReasonName(VmFailReason reason) {
     case VmFailReason::kCapacity: return "capacity";
   }
   return "?";
+}
+
+const OptionTable<MarketplaceOptions>& MarketplaceOptionTable() {
+#define FIELD(member, name, limits, help)                                                    \
+  Option<MarketplaceOptions>(name, [](MarketplaceOptions& o) -> auto& { return o.member; }, \
+                             limits, help)
+  static const OptionTable<MarketplaceOptions> kTable = {
+      FIELD(num_nodes, "nodes", Between(1, (1 << 16) - 1), "cluster nodes"),
+      FIELD(vcpus_per_node, "vcpus_per_node", AtLeast(1), "vCPU slots per node"),
+      FIELD(mem_per_node, "mem_gb", AtLeast(1, 1 << 30), "memory per node, GiB"),
+      FIELD(trace.kind, "trace", OneOf("poisson|diurnal|flash"), "arrival trace shape"),
+      FIELD(trace.vms, "vms", AtLeast(1), "VMs in the trace"),
+      FIELD(trace.span, "span_ms", AtLeast(1, 1e6), "arrival window"),
+      FIELD(trace.seed, "seed", {}, "trace seed"),
+      FIELD(trace.max_vcpus, "max_vcpus", AtLeast(1), "largest VM, vCPUs"),
+      FIELD(trace.mem_per_vcpu, "mem_per_vcpu_mb", AtLeast(1, 1 << 20), "VM memory per vCPU, MiB"),
+      FIELD(trace.requests_per_vcpu, "requests", AtLeast(1), "requests per vCPU"),
+      FIELD(trace.remote_frac, "remote_frac", Between(0, 1), "mean share of remote requests"),
+      FIELD(policy, "policy", OneOf(kPlacementPolicies), "placement policy"),
+      FIELD(epochs, "epochs", AtLeast(1), "admission waves (snapshot points)"),
+      FIELD(reclamation, "reclaim", {}, "revoke leases to consolidate tenants"),
+      FIELD(think_ns, "think_ns", AtLeast(0), "gap between a VM's requests"),
+      FIELD(service_ns, "service_ns", AtLeast(0), "local handler compute"),
+      FIELD(page_service_ns, "page_service_ns", AtLeast(0), "lender-side page fetch cost"),
+      FIELD(qos, "rpc_qos", {}, "weighted deficit link scheduler"),
+      FIELD(coalesced_acks, "rpc_coalesce", {}, "multicast ack coalescing"),
+      FIELD(link.latency, "link_latency_ns", AtLeast(1), "one-way link latency"),
+      FIELD(link.bytes_per_second, "link_bps", AtLeast(1), "link bandwidth, bytes/s"),
+      FIELD(link.one_sided_setup, "link_one_sided_setup_ns", AtLeast(0), "RDMA-read setup cost"),
+      FIELD(latency_jitter_ns, "jitter_ns", AtLeast(0), "per-link latency spread"),
+      FIELD(topology.kind, "topology", OneOf("mesh|fat-tree"), "fabric shape"),
+      FIELD(topology.pod_size, "pod", AtLeast(1), "fat-tree nodes per pod"),
+      FIELD(topology.oversub, "oversub", AtLeast(1), "fat-tree core oversubscription"),
+      FIELD(topology.core_planes, "planes", AtLeast(1), "fat-tree ECMP core planes"),
+      FIELD(rdma_read, "dsm_rdma_read", {}, "one-sided RDMA-read page pulls"),
+      FIELD(compress, "dsm_compress", {}, "compressed page replies"),
+      FIELD(compress_seed, "compress_seed", {}, "page compressibility seed"),
+      FIELD(faults.seed, "fault_seed", {}, "fault-plan seed"),
+      FIELD(faults.drop_prob, "fault_drop", Between(0, 1), "per-message drop probability"),
+      FIELD(faults.dup_prob, "fault_dup", Between(0, 1), "per-message duplication probability"),
+      FIELD(faults.extra_delay_max, "fault_jitter_us", AtLeast(0, 1e3), "largest extra delay"),
+      FIELD(faults.crashes, "fault_crash", AtLeast(0, 1e6), "crash node n at t ms"),
+      FIELD(faults.restarts, "fault_restart", AtLeast(0, 1e6), "restart node n at t ms"),
+      FIELD(faults.partitions, "fault_partition", AtLeast(0, 1e6), "cut link a-b over [t, t) ms"),
+      FIELD(failover.heartbeat_ns, "failover_heartbeat_ns", AtLeast(1), "successor beat gap"),
+      FIELD(failover.fail_phi, "failover_phi", AtLeast(0), "phi threshold for takeover"),
+      FIELD(failover.phi_window, "failover_phi_window", AtLeast(1), "beat gaps phi keeps"),
+      FIELD(failover.probe_interval_ns, "failover_probe_ns", AtLeast(1), "liveness probe gap"),
+      FIELD(failover.done_retry_ns, "failover_done_retry_ns", AtLeast(1), "done redirect gap"),
+      FIELD(failover.done_retry_limit, "failover_done_retries", AtLeast(1), "done redirects"),
+  };
+#undef FIELD
+  return kTable;
+}
+
+std::string Validate(const MarketplaceOptions& opts) {
+  const std::string error = CheckOptions(MarketplaceOptionTable(), opts);
+  if (!error.empty()) return error;
+  if (static_cast<uint64_t>(opts.trace.max_vcpus) >
+      static_cast<uint64_t>(opts.num_nodes) * static_cast<uint64_t>(opts.vcpus_per_node)) {
+    return "max_vcpus: the largest VM exceeds the cluster's vCPU slots";
+  }
+  if (opts.trace.mem_per_vcpu > opts.mem_per_node) {
+    return "mem_per_vcpu_mb: a vCPU's memory exceeds a node's (mem_gb)";
+  }
+  // Wide control tokens carry two node ids in 12 bits each.
+  if (opts.faults.any() && opts.num_nodes > 4096) return "nodes: faults need at most 4096 nodes";
+  const auto missing = [&opts](int n) { return n >= opts.num_nodes; };
+  for (const MarketplaceFaultOptions::Crash& c : opts.faults.crashes) {
+    if (missing(c.node)) return "fault_crash: no node " + std::to_string(c.node);
+  }
+  for (const MarketplaceFaultOptions::Restart& r : opts.faults.restarts) {
+    if (missing(r.node)) return "fault_restart: no node " + std::to_string(r.node);
+  }
+  for (const MarketplaceFaultOptions::Partition& p : opts.faults.partitions) {
+    if (missing(p.a) || missing(p.b)) return "fault_partition: no such node";
+  }
+  return "";
 }
 
 MarketplaceResult RunMarketplace(const MarketplaceOptions& opts, int threads) {

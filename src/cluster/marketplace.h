@@ -35,6 +35,7 @@
 #include "src/net/fabric.h"
 #include "src/net/rpc.h"
 #include "src/sim/fault_plan.h"
+#include "src/sim/options.h"
 #include "src/sim/parallel_loop.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
@@ -122,6 +123,15 @@ struct MarketplaceOptions {
   MarketplaceFaultOptions faults;
   MarketplaceFailoverOptions failover;
 };
+
+// One row per MarketplaceOptions field, nested structs included: the
+// `fvsim cluster` flags, the cluster scenario keys and the snapshot
+// fingerprint. Schedule times are in ms.
+const OptionTable<MarketplaceOptions>& MarketplaceOptionTable();
+
+// "" when `opts` can run, else why not (a table field out of range, a VM
+// larger than the cluster, a fault naming a node that does not exist).
+std::string Validate(const MarketplaceOptions& opts);
 
 // Per-node marketplace counters, each owned by that node's partition.
 struct MarketplaceNodeCounters {

@@ -53,7 +53,10 @@ class PlacementPolicy {
                                       int vcpus, uint64_t mem_per_slot) = 0;
 };
 
-// "fragbff" or "harvest"; returns nullptr for anything else.
+// The policy names MakePlacementPolicy accepts, '|'-separated.
+inline constexpr const char* kPlacementPolicies = "fragbff|harvest";
+
+// One of kPlacementPolicies; returns nullptr for anything else.
 std::unique_ptr<PlacementPolicy> MakePlacementPolicy(const std::string& name);
 
 }  // namespace fragvisor

@@ -22,6 +22,9 @@ constexpr uint64_t kPageBytes = 4096;
 constexpr uint64_t kInvBytes = 64;
 constexpr uint64_t kAckBytes = 64;
 
+// Versions the snapshot fingerprint over StormOptionTable().
+constexpr const char* kOptionsTag = "storm-v2";
+
 // splitmix64: spreads structured ids (node, stream, link endpoints) into
 // independent-looking seeds and jitter values.
 uint64_t SplitMix(uint64_t x) {
@@ -79,7 +82,6 @@ class Storm {
   void ScheduleEpochKickoffs();
   void RunEngine();
   std::string Save();
-  uint64_t ConfigFingerprint() const;
 
   void DoAccess(int32_t node, int stream);
   void FinishAccess(int32_t node, int stream);
@@ -107,6 +109,10 @@ Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
   FV_CHECK_GT(opts.streams_per_node, 0);
   FV_CHECK_GT(opts.accesses_per_stream, 0);
   FV_CHECK_GT(opts.pages_per_node, 0);
+  // PackToken's field widths: a wider stream, node or page id would alias.
+  FV_CHECK_LE(opts.streams_per_node, 1 << 8);
+  FV_CHECK_LE(opts.num_nodes, 1 << 16);
+  FV_CHECK_LE(static_cast<int64_t>(opts.num_nodes) * opts.pages_per_node, int64_t{1} << 40);
   FV_CHECK_GE(opts.cache_slots, 0);
   FV_CHECK_GE(opts.epochs, 1);
   FV_CHECK_GE(threads, 0);
@@ -379,49 +385,10 @@ uint64_t Storm::Digest() const {
   return h;
 }
 
-// Canonical fingerprint of everything that shapes the event timeline. A
-// snapshot only loads into a run built from the same options (same build:
-// double fields go through to_string, which is stable within one binary).
-uint64_t Storm::ConfigFingerprint() const {
-  std::string s = "storm-v1";
-  const auto add = [&s](const std::string& v) {
-    s += '|';
-    s += v;
-  };
-  add(std::to_string(opts_.num_nodes));
-  add(std::to_string(opts_.streams_per_node));
-  add(std::to_string(opts_.accesses_per_stream));
-  add(std::to_string(opts_.pages_per_node));
-  add(std::to_string(opts_.cache_slots));
-  add(std::to_string(opts_.remote_frac));
-  add(std::to_string(opts_.write_frac));
-  add(std::to_string(opts_.think_ns));
-  add(std::to_string(opts_.seed));
-  add(std::to_string(opts_.epochs));
-  add(std::to_string(opts_.link.latency));
-  add(std::to_string(opts_.link.bytes_per_second));
-  add(std::to_string(opts_.latency_jitter_ns));
-  add(std::to_string(opts_.drop_prob));
-  add(std::to_string(opts_.dup_prob));
-  add(std::to_string(opts_.extra_delay_max));
-  add(std::to_string(opts_.crash_node));
-  add(std::to_string(opts_.crash_at));
-  add(std::to_string(opts_.restart_at));
-  add(std::to_string(opts_.partition_a));
-  add(std::to_string(opts_.partition_b));
-  add(std::to_string(opts_.partition_from));
-  add(std::to_string(opts_.partition_until));
-  add(std::to_string(static_cast<int>(opts_.topology.kind)));
-  add(std::to_string(opts_.topology.pod_size));
-  add(std::to_string(opts_.topology.oversub));
-  add(std::to_string(opts_.topology.core_planes));
-  return SnapshotHashString(s);
-}
-
 std::string Storm::Save() {
   SnapshotWriter w;
   w.BeginSection("storm.run");
-  w.U64(ConfigFingerprint());
+  w.U64(OptionsFingerprint(kOptionsTag, StormOptionTable(), opts_));
   w.U8(ploop_ != nullptr ? 1 : 0);
   w.U32(static_cast<uint32_t>(completed_epochs_));
   w.U64(events_);
@@ -498,7 +465,7 @@ bool Storm::Load(const std::string& data, std::string* error) {
   if (!r.ok()) {
     return fail();
   }
-  if (fingerprint != ConfigFingerprint()) {
+  if (fingerprint != OptionsFingerprint(kOptionsTag, StormOptionTable(), opts_)) {
     r.FailExternal("storm: snapshot was taken under different StormOptions");
     return fail();
   }
@@ -675,6 +642,57 @@ void StormCounters::Accumulate(const StormCounters& o) {
   invalidations += o.invalidations;
   evictions += o.evictions;
   failures += o.failures;
+}
+
+const OptionTable<StormOptions>& StormOptionTable() {
+#define FIELD(member, name, limits, help) \
+  Option<StormOptions>(name, [](StormOptions& o) -> auto& { return o.member; }, limits, help)
+  static const OptionTable<StormOptions> kTable = {
+      FIELD(num_nodes, "nodes", Between(1, 1 << 16), "nodes, each the home of a page slab"),
+      FIELD(streams_per_node, "streams", Between(1, 1 << 8), "access streams per node"),
+      FIELD(accesses_per_stream, "accesses", AtLeast(1), "accesses per stream and epoch"),
+      FIELD(pages_per_node, "pages", Between(1, 1 << 24), "pages homed on each node"),
+      FIELD(cache_slots, "cache_slots", AtLeast(0), "remote-page cache slots per node"),
+      FIELD(remote_frac, "remote_frac", Between(0, 1), "fraction of accesses that leave the node"),
+      FIELD(write_frac, "write_frac", Between(0, 1), "fraction of remote accesses that write"),
+      FIELD(think_ns, "think_ns", AtLeast(0), "gap between a stream's accesses"),
+      FIELD(seed, "seed", {}, "workload seed"),
+      FIELD(epochs, "epochs", AtLeast(1), "fully drained epochs (snapshot points)"),
+      FIELD(link.latency, "link_latency_ns", AtLeast(1), "one-way link latency"),
+      FIELD(link.bytes_per_second, "link_bps", AtLeast(1), "link bandwidth, bytes/s"),
+      FIELD(link.one_sided_setup, "link_one_sided_setup_ns", AtLeast(0), "RDMA-read setup cost"),
+      FIELD(latency_jitter_ns, "jitter_ns", AtLeast(0), "per-link latency spread"),
+      FIELD(topology.kind, "topology", OneOf("mesh|fat-tree"), "fabric shape"),
+      FIELD(topology.pod_size, "pod", AtLeast(1), "fat-tree nodes per pod"),
+      FIELD(topology.oversub, "oversub", AtLeast(1), "fat-tree core oversubscription"),
+      FIELD(topology.core_planes, "planes", AtLeast(1), "fat-tree ECMP core planes"),
+      FIELD(drop_prob, "fault_drop", Between(0, 1), "per-message drop probability"),
+      FIELD(dup_prob, "fault_dup", Between(0, 1), "per-message duplication probability"),
+      FIELD(extra_delay_max, "fault_delay_us", AtLeast(0, 1e3), "largest extra delivery delay"),
+      FIELD(crash_node, "crash_node", AtLeast(-1), "node to crash (-1: none)"),
+      FIELD(crash_at, "crash_at_ns", AtLeast(0), "crash time"),
+      FIELD(restart_at, "restart_at_ns", AtLeast(0), "restart time (0: never)"),
+      FIELD(partition_a, "partition_a", AtLeast(-1), "one end of a cut link (-1: none)"),
+      FIELD(partition_b, "partition_b", AtLeast(-1), "the cut link's other end"),
+      FIELD(partition_from, "partition_from_ns", AtLeast(0), "cut start"),
+      FIELD(partition_until, "partition_until_ns", AtLeast(0), "cut end"),
+  };
+#undef FIELD
+  return kTable;
+}
+
+std::string Validate(const StormOptions& opts) {
+  const std::string error = CheckOptions(StormOptionTable(), opts);
+  if (!error.empty()) return error;
+  if (opts.crash_node >= opts.num_nodes) return "crash_node: no such node";
+  const auto node = [&opts](int32_t n) { return n >= 0 && n < opts.num_nodes; };
+  if (opts.partition_a >= 0 &&
+      !(node(opts.partition_b) && node(opts.partition_a) && opts.partition_a != opts.partition_b &&
+        opts.partition_from < opts.partition_until)) {
+    return "partition_a: a cut needs two distinct nodes and partition_from_ns < "
+           "partition_until_ns";
+  }
+  return "";
 }
 
 StormResult RunStorm(const StormOptions& opts, int threads) {

@@ -30,6 +30,7 @@
 #include "src/net/fabric.h"
 #include "src/net/rpc.h"
 #include "src/sim/fault_plan.h"
+#include "src/sim/options.h"
 #include "src/sim/parallel_loop.h"
 #include "src/sim/time.h"
 
@@ -80,6 +81,14 @@ struct StormOptions {
            partition_a >= 0;
   }
 };
+
+// One row per StormOptions field: the `fvsim storm` flags, the storm
+// scenario keys, the capture config blob and the snapshot fingerprint.
+const OptionTable<StormOptions>& StormOptionTable();
+
+// "" when `opts` can run, else why not (a table field out of range, a fault
+// naming a node that does not exist).
+std::string Validate(const StormOptions& opts);
 
 struct StormCounters {
   uint64_t local_accesses = 0;

@@ -35,6 +35,15 @@ const NpbProfile& NpbByName(const std::string& name) {
   __builtin_unreachable();
 }
 
+const char* NpbNames() {
+  static const std::string names = [] {
+    std::string s;
+    for (const NpbProfile& p : NpbSuite()) s += (s.empty() ? "" : "|") + p.name;
+    return s;
+  }();
+  return names.c_str();
+}
+
 NpbProfile ScaleNpb(const NpbProfile& profile, double factor) {
   FV_CHECK_GT(factor, 0.0);
   NpbProfile scaled = profile;

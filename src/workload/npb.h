@@ -35,6 +35,8 @@ const std::vector<NpbProfile>& NpbSuite();
 
 // Lookup by name ("EP", "IS", ...). Aborts on unknown names.
 const NpbProfile& NpbByName(const std::string& name);
+// NpbSuite()'s names, '|'-separated.
+const char* NpbNames();
 
 // Uniformly scales a profile's dataset and compute (benches use this to keep
 // sweeps fast; scaling both preserves the alloc/compute ratio that drives
