@@ -285,8 +285,8 @@ TimeNs Fabric::WireArrival(NodeId src, NodeId dst, LinkState& link, uint64_t siz
   return core_depart + link.params.latency + CrossPodExtra(src, dst);
 }
 
-void Fabric::Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn on_delivery,
-                  TimeNs receiver_delay, DeliveryFn on_fail, DeliveryFn on_settle) {
+void Fabric::Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn&& on_delivery,
+                  TimeNs receiver_delay, DeliveryFn&& on_fail, DeliveryFn&& on_settle) {
   ValidateNode(src);
   ValidateNode(dst);
   FV_CHECK(on_delivery != nullptr);
@@ -494,7 +494,7 @@ void Fabric::FailPending(PendingId id) {
 }
 
 void Fabric::SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                          DeliveryFn on_delivery, TimeNs receiver_delay) {
+                          DeliveryFn&& on_delivery, TimeNs receiver_delay) {
   ValidateNode(src);
   ValidateNode(dst);
   FV_CHECK(on_delivery != nullptr);
@@ -607,8 +607,8 @@ void Fabric::SendRequestResponse(NodeId src, NodeId dst, MsgKind kind, uint64_t 
 // makes the reliable channel race-free without locks.
 
 void Fabric::SendParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                          DeliveryFn on_delivery, TimeNs receiver_delay, DeliveryFn on_fail,
-                          DeliveryFn on_settle) {
+                          DeliveryFn&& on_delivery, TimeNs receiver_delay, DeliveryFn&& on_fail,
+                          DeliveryFn&& on_settle) {
   EventLoop* sloop = ploop_->partition(src);
   if (src == dst) {
     if (receiver_delay > 0) {
@@ -769,7 +769,7 @@ void Fabric::FailParallel(ParPending* p) {
 }
 
 void Fabric::SendDatagramParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                                  DeliveryFn on_delivery, TimeNs receiver_delay) {
+                                  DeliveryFn&& on_delivery, TimeNs receiver_delay) {
   EventLoop* sloop = ploop_->partition(src);
   if (src == dst) {
     if (receiver_delay > 0) {

@@ -277,15 +277,18 @@ class Fabric {
   // receiver — the sender-local proof of delivery the parallel engine gets
   // for free from the first-copy-wins property. Exactly one of on_settle /
   // on_fail runs; a send abandoned after max_attempts never settles.
-  void Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn on_delivery,
-            TimeNs receiver_delay = 0, DeliveryFn on_fail = nullptr,
-            DeliveryFn on_settle = nullptr);
+  //
+  // Callbacks are taken by rvalue reference and moved only into the place
+  // that stores them (see the ownership rule in event_loop.h).
+  void Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn&& on_delivery,
+            TimeNs receiver_delay = 0, DeliveryFn&& on_fail = nullptr,
+            DeliveryFn&& on_settle = nullptr);
 
   // Unreliable send: no retries, no duplicate suppression — a drop loses the
   // message and a duplication runs `on_delivery` twice. Use for traffic whose
   // loss is the signal (heartbeats) or that is idempotent by construction.
-  void SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn on_delivery,
-                    TimeNs receiver_delay = 0);
+  void SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
+                    DeliveryFn&& on_delivery, TimeNs receiver_delay = 0);
 
   // Convenience round-trip: request then response, invoking `on_response`
   // after `server_time` of processing at the destination. `on_fail` (if any)
@@ -427,10 +430,11 @@ class Fabric {
   void FailPending(PendingId id);
 
   // Parallel-mode send paths; run entirely on the sending partition.
-  void SendParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn on_delivery,
-                    TimeNs receiver_delay, DeliveryFn on_fail, DeliveryFn on_settle);
+  void SendParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
+                    DeliveryFn&& on_delivery, TimeNs receiver_delay, DeliveryFn&& on_fail,
+                    DeliveryFn&& on_settle);
   void SendDatagramParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                            DeliveryFn on_delivery, TimeNs receiver_delay);
+                            DeliveryFn&& on_delivery, TimeNs receiver_delay);
   void AttemptParallel(ParPending* p);
   void OnWinnerSettled(ParPending* p);
   void OnRetryTimeoutParallel(ParPending* p);

@@ -21,24 +21,15 @@ const char* QosClassName(QosClass cls) {
 RpcLayer::RpcLayer(EventLoop* loop, Fabric* fabric, RpcConfig config)
     : loop_(loop), fabric_(fabric), config_(config) {
   FV_CHECK(fabric != nullptr);
+  const size_t nodes = static_cast<size_t>(fabric->num_nodes());
   if (fabric->parallel()) {
-    // Per-node stats shards replace the single block. QoS link queues are
-    // per directed link and a link (src, dst) is only ever pumped from src's
-    // partition, so the scheduler state is partition-local by construction —
-    // but the map itself must not mutate during a run (it is looked up from
-    // every partition), so materialize every directed pair up front.
-    shards_.resize(static_cast<size_t>(fabric->num_nodes()));
-    if (config.qos.enabled) {
-      for (NodeId s = 0; s < fabric->num_nodes(); ++s) {
-        for (NodeId d = 0; d < fabric->num_nodes(); ++d) {
-          if (s != d) {
-            qos_links_[{s, d}];
-          }
-        }
-      }
-    }
+    shards_.resize(nodes);  // per-node stats shards replace the single block
   } else {
     FV_CHECK(loop != nullptr);
+  }
+  handlers_.resize(nodes * static_cast<size_t>(MsgKind::kCount));
+  if (config.qos.enabled) {
+    qos_links_.resize(nodes * nodes);
   }
   FV_CHECK_GT(config.qos.quantum_bytes, 0u);
   for (const uint32_t w : config.qos.weights) {
@@ -48,33 +39,41 @@ RpcLayer::RpcLayer(EventLoop* loop, Fabric* fabric, RpcConfig config)
 
 void RpcLayer::Bind(NodeId node, MsgKind kind, Handler handler) {
   FV_CHECK(handler != nullptr);
-  handlers_[{node, static_cast<uint8_t>(kind)}] = std::move(handler);
+  FV_CHECK_GE(node, 0);
+  FV_CHECK_LT(node, fabric_->num_nodes());
+  FV_CHECK_LT(static_cast<size_t>(kind), static_cast<size_t>(MsgKind::kCount));
+  handlers_[static_cast<size_t>(node) * static_cast<size_t>(MsgKind::kCount) +
+            static_cast<size_t>(kind)] = std::move(handler);
 }
 
-Fabric::DeliveryFn RpcLayer::ResolveDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                                             uint64_t token, EventLoop::Callback on_done) {
-  if (on_done != nullptr) {
-    return on_done;
+Fabric::DeliveryFn&& RpcLayer::ResolveDelivery(NodeId src, NodeId dst, MsgKind kind,
+                                               uint64_t bytes, uint64_t token,
+                                               EventLoop::Callback&& on_done) {
+  if (on_done == nullptr) {
+    // Typed endpoint: the receiver's bound handler is looked up at delivery
+    // time, so handlers registered after the send (but before arrival) work.
+    on_done = [this, src, dst, kind, bytes, token]() {
+      const Handler& handler = handlers_[static_cast<size_t>(dst) *
+                                             static_cast<size_t>(MsgKind::kCount) +
+                                         static_cast<size_t>(kind)];
+      if (handler) {
+        handler(Inbound{src, dst, kind, bytes, token});
+      }
+    };
   }
-  // Typed endpoint: the receiver's bound handler is looked up at delivery
-  // time, so handlers registered after the send (but before arrival) work.
-  return [this, src, dst, kind, bytes, token]() {
-    auto it = handlers_.find({dst, static_cast<uint8_t>(kind)});
-    if (it != handlers_.end()) {
-      it->second(Inbound{src, dst, kind, bytes, token});
-    }
-  };
+  return std::move(on_done);
 }
 
-Fabric::DeliveryFn RpcLayer::MakeFailFn(NodeId src, CallOpts& opts) {
+void RpcLayer::WrapFailBookkeeping(NodeId src, CallOpts& opts) {
   if (opts.abort_counter == nullptr && opts.abort_event == nullptr) {
-    // No declarative bookkeeping: hand the caller's continuation (possibly
-    // null — the fabric then drops silently) straight through, keeping hot
+    // No declarative bookkeeping: the caller's continuation (possibly null —
+    // the fabric then drops silently) goes straight through, keeping hot
     // protocol paths free of a wrapper closure.
-    return std::move(opts.on_fail);
+    return;
   }
-  return [this, src, counter = opts.abort_counter, event = opts.abort_event,
-          detail = opts.abort_detail, on_fail = std::move(opts.on_fail)]() mutable {
+  EventLoop::Callback on_fail = std::move(opts.on_fail);
+  opts.on_fail = [this, src, counter = opts.abort_counter, event = opts.abort_event,
+                  detail = opts.abort_detail, on_fail = std::move(on_fail)]() mutable {
     S(src).call_failures.Add(1);
     if (counter != nullptr) {
       counter->Add(1);
@@ -89,23 +88,23 @@ Fabric::DeliveryFn RpcLayer::MakeFailFn(NodeId src, CallOpts& opts) {
 }
 
 void RpcLayer::Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                    EventLoop::Callback on_done, CallOpts opts) {
+                    EventLoop::Callback&& on_done, CallOpts&& opts) {
   S(src).calls.Add(1);
   Account(opts.account, bytes);
-  Fabric::DeliveryFn on_fail = MakeFailFn(src, opts);
-  Dispatch(src, dst, kind, bytes, ResolveDelivery(src, dst, kind, bytes, opts.token,
-                                                  std::move(on_done)),
-           opts.receiver_delay, std::move(on_fail), opts.qos);
+  WrapFailBookkeeping(src, opts);
+  Dispatch(src, dst, kind, bytes,
+           ResolveDelivery(src, dst, kind, bytes, opts.token, std::move(on_done)),
+           opts.receiver_delay, std::move(opts.on_fail), opts.qos);
 }
 
-void RpcLayer::Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts opts) {
+void RpcLayer::Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts&& opts) {
   S(src).notifies.Add(1);
   Call(src, dst, kind, bytes, nullptr, std::move(opts));
 }
 
 void RpcLayer::CallWithRetry(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                             EventLoop::Callback on_done, EventLoop::Callback on_abandon,
-                             RetrySpec spec, CallOpts opts) {
+                             EventLoop::Callback&& on_done, EventLoop::Callback&& on_abandon,
+                             const RetrySpec& spec, CallOpts&& opts) {
   if (fabric_->fault_plan() == nullptr) {
     // No failures possible: keep the hot path allocation-free.
     Call(src, dst, kind, bytes, std::move(on_done), std::move(opts));
@@ -296,8 +295,9 @@ void RpcLayer::Multicast(NodeId src, const std::vector<NodeId>& targets, MsgKind
 }
 
 void RpcLayer::Dispatch(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                        Fabric::DeliveryFn on_delivery, TimeNs receiver_delay,
-                        Fabric::DeliveryFn on_fail, QosClass qos, Fabric::DeliveryFn on_settle) {
+                        Fabric::DeliveryFn&& on_delivery, TimeNs receiver_delay,
+                        Fabric::DeliveryFn&& on_fail, QosClass qos,
+                        Fabric::DeliveryFn&& on_settle) {
   // Loopback never serializes on a wire, so there is nothing to arbitrate.
   if (!config_.qos.enabled || src == dst) {
     fabric_->Send(src, dst, kind, size, std::move(on_delivery), receiver_delay,
@@ -309,7 +309,7 @@ void RpcLayer::Dispatch(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
   // is the single shared loop in serial mode, so this is the same schedule
   // the serial pump always produced).
   EventLoop* sloop = NodeLoop(src);
-  LinkQueue& lq = qos_links_[{src, dst}];
+  LinkQueue& lq = QosLink(src, dst);
   if (!lq.pump_armed && sloop->now() >= lq.next_free && lq.q[0].empty() && lq.q[1].empty()) {
     // Idle link: send through immediately, tracking the serialization
     // horizon so a burst arriving behind this message queues up.
@@ -325,6 +325,16 @@ void RpcLayer::Dispatch(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
   ArmPump(src, dst, lq);
 }
 
+RpcLayer::LinkQueue& RpcLayer::QosLink(NodeId src, NodeId dst) {
+  std::unique_ptr<LinkQueue>& lq =
+      qos_links_[static_cast<size_t>(src) * static_cast<size_t>(fabric_->num_nodes()) +
+                 static_cast<size_t>(dst)];
+  if (lq == nullptr) {
+    lq = std::make_unique<LinkQueue>();
+  }
+  return *lq;
+}
+
 void RpcLayer::ArmPump(NodeId src, NodeId dst, LinkQueue& lq) {
   if (lq.pump_armed) {
     return;
@@ -336,7 +346,7 @@ void RpcLayer::ArmPump(NodeId src, NodeId dst, LinkQueue& lq) {
 }
 
 void RpcLayer::PumpLink(NodeId src, NodeId dst) {
-  LinkQueue& lq = qos_links_[{src, dst}];
+  LinkQueue& lq = QosLink(src, dst);
   lq.pump_armed = false;
   if (lq.q[0].empty() && lq.q[1].empty()) {
     return;

@@ -33,7 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -168,22 +168,26 @@ class RpcLayer {
   // failures home through the mailbox — all partition-local, so every entry
   // point works in that mode (Multicast requires opts.account == nullptr
   // there; plain caller-owned counters are not shard-safe). All Bind() calls
-  // must happen before the run starts (the handler map is read concurrently).
+  // must happen before the run starts (the handler table is read
+  // concurrently).
   RpcLayer(EventLoop* loop, Fabric* fabric, RpcConfig config = RpcConfig());
 
   RpcLayer(const RpcLayer&) = delete;
   RpcLayer& operator=(const RpcLayer&) = delete;
 
   // Registers `handler` for messages of `kind` addressed to `node` that were
-  // sent without an explicit on_done. Re-binding replaces the handler.
+  // sent without an explicit on_done. Re-binding replaces the handler. A
+  // message to an unbound (node, kind) is dropped silently on delivery.
   void Bind(NodeId node, MsgKind kind, Handler handler);
 
   // Reliable typed send. With default opts this is an exact pass-through to
   // Fabric::Send. A null `on_done` dispatches to the handler bound for
-  // (dst, kind), if any.
-  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback on_done,
-            CallOpts opts);
-  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback on_done) {
+  // (dst, kind), if any. `on_done` and `opts` are consumed (rvalue hand-off;
+  // see event_loop.h).
+  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback&& on_done,
+            CallOpts&& opts);
+  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
+            EventLoop::Callback&& on_done) {
     Call(src, dst, kind, bytes, std::move(on_done), CallOpts());
   }
 
@@ -192,8 +196,8 @@ class RpcLayer {
   // Call — no heap context, no retry bookkeeping. Exactly one of
   // {on_done, on_abandon} eventually runs.
   void CallWithRetry(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                     EventLoop::Callback on_done, EventLoop::Callback on_abandon, RetrySpec spec,
-                     CallOpts opts);
+                     EventLoop::Callback&& on_done, EventLoop::Callback&& on_abandon,
+                     const RetrySpec& spec, CallOpts&& opts);
 
   // One-way asynchronous notification: a reliable send whose delivery needs
   // no caller continuation — delivery dispatches to the handler bound for
@@ -201,7 +205,7 @@ class RpcLayer {
   // the DSM owner-hint home notify. Failure handling is opts.on_fail, as with
   // Call; by default a lost notify is simply dropped after the retransmit
   // budget.
-  void Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts opts);
+  void Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts&& opts);
   void Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes) {
     Notify(src, dst, kind, bytes, CallOpts());
   }
@@ -293,20 +297,25 @@ class RpcLayer {
     return shards_.empty() ? stats_ : shards_[static_cast<size_t>(node)];
   }
 
-  // Builds the fabric on_fail callback realizing CallOpts' bookkeeping.
-  // The failure runs on `src`'s partition in parallel mode.
-  Fabric::DeliveryFn MakeFailFn(NodeId src, CallOpts& opts);
+  // Turns opts.on_fail, in place, into the fabric on_fail callback realizing
+  // CallOpts' bookkeeping (left as is when there is none). The failure runs
+  // on `src`'s partition in parallel mode.
+  void WrapFailBookkeeping(NodeId src, CallOpts& opts);
 
   // Routes one reliable message: straight to the fabric, or through the
   // QoS link queues when the scheduler is enabled.
   void Dispatch(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                Fabric::DeliveryFn on_delivery, TimeNs receiver_delay, Fabric::DeliveryFn on_fail,
-                QosClass qos, Fabric::DeliveryFn on_settle = nullptr);
+                Fabric::DeliveryFn&& on_delivery, TimeNs receiver_delay,
+                Fabric::DeliveryFn&& on_fail, QosClass qos,
+                Fabric::DeliveryFn&& on_settle = nullptr);
 
-  // Wraps a null on_done into the bound-handler dispatch for (dst, kind).
-  Fabric::DeliveryFn ResolveDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                                     uint64_t token, EventLoop::Callback on_done);
+  // Fills a null on_done, in place, with the bound-handler dispatch for
+  // (dst, kind) and hands the same object on.
+  Fabric::DeliveryFn&& ResolveDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
+                                       uint64_t token, EventLoop::Callback&& on_done);
 
+  // The QoS queue of the directed link src -> dst, created on first use.
+  LinkQueue& QosLink(NodeId src, NodeId dst);
   void ArmPump(NodeId src, NodeId dst, LinkQueue& lq);
   void PumpLink(NodeId src, NodeId dst);
   QueuedMsg PickNext(LinkQueue& lq);
@@ -314,8 +323,13 @@ class RpcLayer {
   EventLoop* loop_;  // null on a parallel-core fabric
   Fabric* fabric_;
   RpcConfig config_;
-  std::map<std::pair<NodeId, uint8_t>, Handler> handlers_;
-  std::map<std::pair<NodeId, NodeId>, LinkQueue> qos_links_;
+  // Bound handlers, indexed node * MsgKind::kCount + kind; sized once, so
+  // Bind never moves an entry and lookups from partitions only read.
+  std::vector<Handler> handlers_;
+  // QoS link queues (scheduler on only), indexed src * num_nodes + dst and
+  // sized once. A link's queue is created, queued and pumped only on src's
+  // partition, so distinct partitions never touch the same entry.
+  std::vector<std::unique_ptr<LinkQueue>> qos_links_;
   RpcStats stats_;
   std::vector<RpcStats> shards_;  // per-node (parallel mode only)
 };

@@ -82,7 +82,7 @@ void EventLoop::HeapRemoveAt(size_t pos) {
   }
 }
 
-EventId EventLoop::ScheduleAt(TimeNs when, Callback cb) {
+EventId EventLoop::ScheduleAt(TimeNs when, Callback&& cb) {
   FV_CHECK_GE(when, now_);
   FV_CHECK(cb != nullptr);
   const uint32_t s = AllocSlot();
@@ -94,7 +94,7 @@ EventId EventLoop::ScheduleAt(TimeNs when, Callback cb) {
   return MakeId(s, sl.gen);
 }
 
-EventId EventLoop::ScheduleRelay(TimeNs when, TimeNs relay_delay, Callback cb) {
+EventId EventLoop::ScheduleRelay(TimeNs when, TimeNs relay_delay, Callback&& cb) {
   FV_CHECK_GE(relay_delay, 0);
   const EventId id = ScheduleAt(when, std::move(cb));
   slots_[static_cast<uint32_t>((id & 0xffffffffu) - 1)].relay = relay_delay;

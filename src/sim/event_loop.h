@@ -12,6 +12,16 @@
 // a handle for an event that already fired is simply rejected. Callbacks are
 // InlineFunction, so scheduling does not heap-allocate for captures up to
 // kInlineFunctionBytes.
+//
+// Ownership rule: hot-path hand-offs take the callback by rvalue reference
+// (Callback&&) — here, in ParallelEventLoop::ScheduleCross, Fabric::Send*
+// and RpcLayer's Call/Notify/Dispatch. A message callback is built once by
+// the caller and moved only where it is stored (an outbox, then a slot),
+// never re-moved at each layer it passes through. The callee consumes the
+// argument, so the argument must not live in storage the callee can
+// reallocate: never pass a callback held in this loop's own slots, and never
+// one held in a Fabric pending slot or a ParallelEventLoop outbox to a call
+// that appends to that same container. Move it to a local first.
 
 #ifndef FRAGVISOR_SRC_SIM_EVENT_LOOP_H_
 #define FRAGVISOR_SRC_SIM_EVENT_LOOP_H_
@@ -46,10 +56,12 @@ class EventLoop {
   TimeNs now() const { return now_; }
 
   // Schedules `cb` to run at absolute simulated time `when` (>= now()).
-  EventId ScheduleAt(TimeNs when, Callback cb);
+  EventId ScheduleAt(TimeNs when, Callback&& cb);
 
   // Schedules `cb` to run `delay` nanoseconds from now (delay >= 0).
-  EventId ScheduleAfter(TimeNs delay, Callback cb) { return ScheduleAt(now_ + delay, std::move(cb)); }
+  EventId ScheduleAfter(TimeNs delay, Callback&& cb) {
+    return ScheduleAt(now_ + delay, std::move(cb));
+  }
 
   // Schedules a two-phase event: it first fires at `when` as a plain
   // time-advancing hop (a message delivery), then re-arms itself for
@@ -57,7 +69,7 @@ class EventLoop {
   // scheduled from inside a delivery callback — and runs `cb` on the second
   // firing. This models "deliver, then pay a handler cost on the receiver"
   // without nesting one callback inside another.
-  EventId ScheduleRelay(TimeNs when, TimeNs relay_delay, Callback cb);
+  EventId ScheduleRelay(TimeNs when, TimeNs relay_delay, Callback&& cb);
 
   // Cancels a pending event. Returns false if the event already ran, was
   // already cancelled, or never existed.

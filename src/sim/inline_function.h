@@ -8,6 +8,15 @@
 // fits — and only falls back to the heap for oversized captures (rare, cold
 // paths like checkpoint batch closures).
 //
+// Relocation rule: a callable that is trivially copyable and fits inline (a
+// capture of `this` plus a few ints or pointers — almost every message
+// callback) is stored without a manager. Moving such a wrapper is one
+// fixed-size copy of the buffer and destroying it does nothing, so a
+// callback handed from layer to layer costs no indirect call per hop.
+// Non-trivial captures (shared_ptr, std::function, a nested InlineFunction)
+// and heap-fallback callables keep a manager that move-constructs and
+// destroys the target. A moved-from wrapper is always empty.
+//
 // Differences from std::function: move-only (so move-only captures work),
 // no target_type/RTTI, and invocation through a stored function pointer.
 
@@ -15,6 +24,7 @@
 #define FRAGVISOR_SRC_SIM_INLINE_FUNCTION_H_
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -90,6 +100,10 @@ class InlineFunction<R(Args...), kInlineBytes> {
       sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
       std::is_move_constructible_v<F>;
 
+  // Stored with no manager: relocated by copying the buffer, never destroyed.
+  template <typename F>
+  static constexpr bool kTrivial = kFitsInline<F> && std::is_trivially_copyable_v<F>;
+
   template <typename F>
   struct InlineHandler {
     static F* Get(void* buf) { return std::launder(reinterpret_cast<F*>(buf)); }
@@ -125,7 +139,7 @@ class InlineFunction<R(Args...), kInlineBytes> {
     if constexpr (kFitsInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       invoke_ = &InlineHandler<D>::Invoke;
-      manage_ = &InlineHandler<D>::Manage;
+      manage_ = kTrivial<D> ? nullptr : &InlineHandler<D>::Manage;
     } else {
       ::new (static_cast<void*>(buf_)) (D*)(new D(std::forward<F>(f)));
       invoke_ = &HeapHandler<D>::Invoke;
@@ -138,6 +152,13 @@ class InlineFunction<R(Args...), kInlineBytes> {
     manage_ = other.manage_;
     if (manage_ != nullptr) {
       manage_(Op::kMoveTo, other.buf_, buf_);
+    } else if (invoke_ != nullptr) {
+      // The bytes past the target (and its padding) are indeterminate;
+      // copying them as unsigned char is well-defined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+      std::memcpy(buf_, other.buf_, kInlineBytes);
+#pragma GCC diagnostic pop
     }
     other.invoke_ = nullptr;
     other.manage_ = nullptr;
@@ -146,9 +167,9 @@ class InlineFunction<R(Args...), kInlineBytes> {
   void Reset() {
     if (manage_ != nullptr) {
       manage_(Op::kDestroy, buf_, nullptr);
-      invoke_ = nullptr;
       manage_ = nullptr;
     }
+    invoke_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];

@@ -1,6 +1,7 @@
 #include "src/sim/parallel_loop.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace fragvisor {
@@ -28,12 +29,6 @@ inline void CpuRelax() {
 #endif
 }
 
-// Drain keys pack (dst, src, outbox index) so that sorting them yields the
-// (dst, src, FIFO) commit order.
-constexpr int kKeyIndexBits = 32;
-constexpr int kKeySrcShift = kKeyIndexBits;
-constexpr int kKeyDstShift = kKeyIndexBits + 16;
-
 }  // namespace
 
 ParallelEventLoop::ParallelEventLoop(Options options) : opt_(options) {
@@ -48,6 +43,8 @@ ParallelEventLoop::ParallelEventLoop(Options options) : opt_(options) {
     parts_.push_back(std::make_unique<Partition>());
   }
   next_time_.assign(static_cast<size_t>(opt_.num_partitions), EventLoop::kNoPendingEvent);
+  drain_count_.assign(static_cast<size_t>(opt_.num_partitions), 0);
+  drain_dsts_.assign((static_cast<size_t>(opt_.num_partitions) + 63) / 64, 0);
 
   // Thread 0 is the coordinating (calling) thread; it runs its own share of
   // partitions inside each window, so only num_threads - 1 workers spawn.
@@ -75,7 +72,7 @@ TimeNs ParallelEventLoop::now_max() const {
 }
 
 CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
-                                              TimeNs relay_delay, Callback cb,
+                                              TimeNs relay_delay, Callback&& cb,
                                               bool cancellable) {
   FV_CHECK_GE(src, 0);
   FV_CHECK_LT(src, opt_.num_partitions);
@@ -97,7 +94,7 @@ CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
     token = (static_cast<uint64_t>(src) << 48) |
             (static_cast<uint64_t>(dst) << 32) | s.next_token++;
   }
-  s.outbox.push_back({token, when, relay_delay, dst, /*cancel=*/false, std::move(cb)});
+  s.outbox.emplace_back(token, when, relay_delay, dst, /*cancel=*/false, std::move(cb));
   return token;
 }
 
@@ -115,44 +112,68 @@ bool ParallelEventLoop::CancelCross(int from, CrossEventId id) {
   if (running_) {
     FV_CHECK_EQ(from, tl_current_partition);
   }
-  parts_[static_cast<size_t>(from)]->outbox.push_back(
-      {id, 0, 0, dst, /*cancel=*/true, nullptr});
+  parts_[static_cast<size_t>(from)]->outbox.emplace_back(id, 0, 0, dst, /*cancel=*/true,
+                                                         nullptr);
   return true;
 }
 
 void ParallelEventLoop::DrainMailboxes() {
-  drain_keys_.clear();
-  for (int src = 0; src < opt_.num_partitions; ++src) {
-    const std::vector<MailEntry>& outbox = parts_[static_cast<size_t>(src)]->outbox;
-    FV_CHECK_LT(outbox.size(), uint64_t{1} << kKeyIndexBits);
-    for (size_t i = 0; i < outbox.size(); ++i) {
-      drain_keys_.push_back((static_cast<uint64_t>(outbox[i].dst) << kKeyDstShift) |
-                            (static_cast<uint64_t>(src) << kKeySrcShift) | i);
+  // Stable counting sort by dst. Count each destination's entries, turn the
+  // counts into start offsets in ascending dst order, then place entries
+  // walking sources in ascending order and each outbox in FIFO order: every
+  // destination's run of drain_order_ comes out in (src, FIFO) order, and
+  // placing advances each offset to its destination's end.
+  drain_srcs_.clear();
+  size_t total = 0;
+  for (const auto& p : parts_) {
+    if (p->outbox.empty()) {
+      continue;
+    }
+    drain_srcs_.push_back(p.get());
+    total += p->outbox.size();
+    for (const MailEntry& e : p->outbox) {
+      const size_t d = static_cast<size_t>(e.dst);
+      if (drain_count_[d]++ == 0) {
+        drain_dsts_[d / 64] |= uint64_t{1} << (d % 64);
+      }
     }
   }
-  if (drain_keys_.empty()) {
+  if (total == 0) {
     return;
   }
-  std::sort(drain_keys_.begin(), drain_keys_.end());
-  const auto entry = [this](uint64_t key) -> MailEntry& {
-    const size_t src = static_cast<size_t>((key >> kKeySrcShift) & 0xffffu);
-    return parts_[src]->outbox[key & ((uint64_t{1} << kKeyIndexBits) - 1)];
-  };
-
-  for (size_t begin = 0; begin < drain_keys_.size();) {
-    const uint64_t dst_bits = drain_keys_[begin] >> kKeyDstShift;
-    size_t end = begin;
-    while (end < drain_keys_.size() && drain_keys_[end] >> kKeyDstShift == dst_bits) {
-      ++end;
+  FV_CHECK_LT(total, uint64_t{1} << 32);
+  // Visits the destinations with entries in ascending order.
+  const auto for_each_dst = [this](auto&& visit) {
+    for (size_t w = 0; w < drain_dsts_.size(); ++w) {
+      for (uint64_t bits = drain_dsts_[w]; bits != 0; bits &= bits - 1) {
+        visit(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      }
     }
-    const size_t dst = static_cast<size_t>(dst_bits);
+  };
+  uint32_t start = 0;
+  for_each_dst([&](size_t d) {
+    const uint32_t count = drain_count_[d];
+    drain_count_[d] = start;
+    start += count;
+  });
+  drain_order_.resize(total);
+  for (Partition* p : drain_srcs_) {
+    for (MailEntry& e : p->outbox) {
+      drain_order_[drain_count_[static_cast<size_t>(e.dst)]++] = &e;
+    }
+  }
+
+  uint32_t begin = 0;
+  for_each_dst([&](size_t dst) {
+    const uint32_t end = drain_count_[dst];
+    drain_count_[dst] = 0;
     Partition& d = *parts_[dst];
     // Pass 1: commit schedules in (src, FIFO) order — this fixes the
     // destination sequence numbers of equal-time cross events independent of
     // which thread produced them, and guarantees a cancel mailed in the same
     // window as its schedule finds the event committed.
-    for (size_t k = begin; k < end; ++k) {
-      MailEntry& e = entry(drain_keys_[k]);
+    for (uint32_t k = begin; k < end; ++k) {
+      MailEntry& e = *drain_order_[k];
       if (e.cancel) {
         continue;
       }
@@ -167,8 +188,8 @@ void ParallelEventLoop::DrainMailboxes() {
     // Pass 2: apply cancels. EventLoop::Cancel rejects handles of events
     // that already fired (slot generations), which is exactly the "late"
     // case of the routed-cancel contract.
-    for (size_t k = begin; k < end; ++k) {
-      const MailEntry& e = entry(drain_keys_[k]);
+    for (uint32_t k = begin; k < end; ++k) {
+      const MailEntry& e = *drain_order_[k];
       if (!e.cancel) {
         continue;
       }
@@ -185,8 +206,9 @@ void ParallelEventLoop::DrainMailboxes() {
     }
     next_time_[dst] = d.loop.next_event_time();
     begin = end;
-  }
-  for (const auto& p : parts_) {
+  });
+  std::fill(drain_dsts_.begin(), drain_dsts_.end(), 0);
+  for (Partition* p : drain_srcs_) {
     p->outbox.clear();
   }
 }

@@ -26,10 +26,11 @@
 //
 // Determinism contract: the horizon sequence is a pure function of queue
 // state, each partition's queue executes in its own (time, seq) order, and
-// at each barrier the outbox entries are sorted by (dst, src, FIFO) and
-// committed per destination, schedules before cancels — so commit order, and
-// therefore every simulation output, is byte-identical at any worker count,
-// including 1.
+// at each barrier the outbox entries are grouped by dst with a stable
+// counting sort over the sources in ascending order — (dst, src, FIFO) order
+// in O(entries + P) — and committed per destination, schedules before
+// cancels — so commit order, and therefore every simulation output, is
+// byte-identical at any worker count, including 1.
 //
 // Memory model: outboxes and cached clocks are plain (non-atomic) storage.
 // During a window a partition's outbox and clock slot are written only by
@@ -128,7 +129,7 @@ class ParallelEventLoop {
   // May be called from the source partition's callbacks during a window, or
   // from the coordinating thread while no window is executing (setup).
   CrossEventId ScheduleCross(int src, int dst, TimeNs when, TimeNs relay_delay,
-                             Callback cb, bool cancellable = false);
+                             Callback&& cb, bool cancellable = false);
 
   // Requests cancellation of a cancellable cross event. The request is routed
   // through `from`'s outbox to the owning partition and applied at the
@@ -205,8 +206,16 @@ class ParallelEventLoop {
   // next_time_[p] caches parts_[p]->loop.next_event_time(); written by p's
   // owner after its window and by the coordinator at Run() start and drain.
   std::vector<TimeNs> next_time_;
-  std::vector<int> active_;           // partitions below horizon_ this window
-  std::vector<uint64_t> drain_keys_;  // (dst, src, outbox index), packed
+  std::vector<int> active_;  // partitions below horizon_ this window
+  // Drain scratch (coordinator only). drain_count_[d] counts destination d's
+  // entries, then holds its offset into drain_order_ (every entry, in
+  // (dst, src, FIFO) order); it is all zeros between drains. drain_dsts_ is
+  // a bitmap of the destinations with entries, so walking them in ascending
+  // order costs P/64 words, and drain_srcs_ lists the sources with any.
+  std::vector<uint32_t> drain_count_;
+  std::vector<uint64_t> drain_dsts_;
+  std::vector<Partition*> drain_srcs_;
+  std::vector<MailEntry*> drain_order_;
   RunStats stats_;
 
   // Window handshake. horizon_ and active_ are plain data: written by the

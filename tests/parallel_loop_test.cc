@@ -2,11 +2,14 @@
 // the ParallelEventLoop itself, and the DSM coherence storm run at several
 // worker counts (the byte-identity contract the core is built around).
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/sim/parallel_loop.h"
+#include "src/sim/rng.h"
 #include "src/workload/dsmstorm.h"
 
 namespace fragvisor {
@@ -206,6 +209,154 @@ TEST(ParallelLoopTest, DrainCommitsEachDestinationInSourceThenFifoOrder) {
     EXPECT_EQ(s.barriers, s1.barriers) << "threads=" << threads;
     EXPECT_EQ(s.cross_cancels_applied, 1u) << "threads=" << threads;
     EXPECT_EQ(s.partitions_run.sum(), s1.partitions_run.sum()) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelLoopTest, RandomizedDrainMatchesReferenceSortAtAnyWorkerCount) {
+  // Every partition repeatedly fires a burst of cross events at random
+  // destinations with colliding arrival times: plain events, relays, and
+  // cancellable events, half of which the sender withdraws in the same
+  // window. Equal-time deliveries at a destination fire in commit order, so
+  // each destination's plain deliveries must equal a reference: all sends
+  // sorted by (window, src, FIFO) — the (dst, src, FIFO) drain order, window
+  // by window — then stably by arrival time.
+  constexpr int kParts = 16;
+  constexpr int kTicks = 60;
+  constexpr TimeNs kLookahead = 20;
+  struct Send {
+    uint64_t window;
+    int src;
+    int fifo;
+    int dst;
+    TimeNs when;
+    TimeNs relay;
+    bool cancelled;
+  };
+  // A delivery as its destination saw it: (time, src, fifo).
+  using Seen = std::tuple<TimeNs, int, int>;
+  struct Result {
+    std::vector<std::vector<Send>> sends;       // per source, in send order
+    std::vector<std::vector<Seen>> plain;       // per destination, fire order
+    std::vector<std::vector<Seen>> relayed;     // per destination, handler hops
+    ParallelEventLoop::RunStats stats;
+  };
+  const auto run = [&](int num_threads) {
+    ParallelEventLoop::Options po;
+    po.num_partitions = kParts;
+    po.num_threads = num_threads;
+    po.lookahead = kLookahead;
+    ParallelEventLoop ploop(po);
+    Result r;
+    r.sends.resize(kParts);
+    r.plain.resize(kParts);
+    r.relayed.resize(kParts);
+    std::vector<Rng> rngs;
+    for (int p = 0; p < kParts; ++p) {
+      rngs.emplace_back(1000 + static_cast<uint64_t>(p));
+    }
+    struct Tick {
+      ParallelEventLoop* ploop;
+      Result* r;
+      std::vector<Rng>* rngs;
+      int src;
+      int left;
+      void operator()() const {
+        Rng& rng = (*rngs)[static_cast<size_t>(src)];
+        EventLoop* loop = ploop->partition(src);
+        // Read between barriers only: the coordinator writes it while no
+        // window runs.
+        const uint64_t window = ploop->stats().barriers;
+        const int burst = static_cast<int>(rng.UniformInt(1, 6));
+        for (int i = 0; i < burst; ++i) {
+          std::vector<Send>& mine = r->sends[static_cast<size_t>(src)];
+          Send s{window, src, static_cast<int>(mine.size()),
+                 static_cast<int>(rng.UniformInt(0, kParts - 1)),
+                 loop->now() + kLookahead + rng.UniformInt(0, 2),
+                 rng.Chance(0.25) ? rng.UniformInt(1, 3) : 0, false};
+          const bool cancellable = rng.Chance(0.3);
+          Result* res = r;
+          const int dst = s.dst;
+          const Seen seen{s.when, s.src, s.fifo};
+          EventLoop::Callback cb;
+          if (s.relay > 0) {
+            cb = [res, dst, seen] { res->relayed[static_cast<size_t>(dst)].push_back(seen); };
+          } else {
+            cb = [res, dst, seen] { res->plain[static_cast<size_t>(dst)].push_back(seen); };
+          }
+          const CrossEventId id =
+              ploop->ScheduleCross(src, dst, s.when, s.relay, std::move(cb), cancellable);
+          if (cancellable && rng.Chance(0.5)) {
+            EXPECT_TRUE(ploop->CancelCross(src, id));
+            s.cancelled = true;
+          }
+          mine.push_back(s);
+        }
+        if (left > 0) {
+          loop->ScheduleAfter(rng.UniformInt(1, kLookahead),
+                              Tick{ploop, r, rngs, src, left - 1});
+        }
+      }
+    };
+    for (int p = 0; p < kParts; ++p) {
+      ploop.partition(p)->ScheduleAt(p % 3, Tick{&ploop, &r, &rngs, p, kTicks});
+    }
+    ploop.Run();
+    r.stats = ploop.stats();
+    return r;
+  };
+
+  const Result ref = run(1);
+  std::vector<Send> all;
+  for (const std::vector<Send>& mine : ref.sends) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end(), [](const Send& a, const Send& b) {
+    return std::tie(a.window, a.src, a.fifo) < std::tie(b.window, b.src, b.fifo);
+  });
+  std::vector<std::vector<Send>> want_plain(kParts);
+  std::vector<std::vector<Seen>> want_relayed(kParts);
+  uint64_t scheduled = 0;
+  uint64_t cancelled = 0;
+  for (const Send& s : all) {
+    ++scheduled;
+    if (s.cancelled) {
+      ++cancelled;
+    } else if (s.relay > 0) {
+      want_relayed[static_cast<size_t>(s.dst)].emplace_back(s.when, s.src, s.fifo);
+    } else {
+      want_plain[static_cast<size_t>(s.dst)].push_back(s);
+    }
+  }
+  ASSERT_GT(cancelled, 0u);
+  for (int d = 0; d < kParts; ++d) {
+    std::vector<Send>& plain = want_plain[static_cast<size_t>(d)];
+    std::stable_sort(plain.begin(), plain.end(),
+                     [](const Send& a, const Send& b) { return a.when < b.when; });
+    std::vector<Seen> want;
+    for (const Send& s : plain) {
+      want.emplace_back(s.when, s.src, s.fifo);
+    }
+    EXPECT_EQ(ref.plain[static_cast<size_t>(d)], want) << "dst=" << d;
+    // Relays fire once each, at their arrival; their handler hops take
+    // fresh sequence numbers, so only the set is checked here.
+    std::vector<Seen> got_relayed = ref.relayed[static_cast<size_t>(d)];
+    std::sort(got_relayed.begin(), got_relayed.end());
+    std::vector<Seen>& want_r = want_relayed[static_cast<size_t>(d)];
+    std::sort(want_r.begin(), want_r.end());
+    EXPECT_EQ(got_relayed, want_r) << "dst=" << d;
+  }
+  EXPECT_EQ(ref.stats.mailbox_events, scheduled);
+  EXPECT_EQ(ref.stats.cross_cancels_routed, cancelled);
+  EXPECT_EQ(ref.stats.cross_cancels_applied, cancelled);
+  EXPECT_EQ(ref.stats.cross_cancels_late, 0u);
+
+  for (const int threads : {2, 4}) {
+    const Result r = run(threads);
+    EXPECT_EQ(r.plain, ref.plain) << "threads=" << threads;
+    EXPECT_EQ(r.relayed, ref.relayed) << "threads=" << threads;
+    EXPECT_EQ(r.stats.barriers, ref.stats.barriers) << "threads=" << threads;
+    EXPECT_EQ(r.stats.mailbox_events, ref.stats.mailbox_events) << "threads=" << threads;
+    EXPECT_EQ(r.stats.cross_cancels_applied, cancelled) << "threads=" << threads;
   }
 }
 

@@ -54,6 +54,55 @@ TEST_F(RpcTest, NullDeliveryDispatchesToBoundHandler) {
   EXPECT_EQ(rpc_.stats().datagrams.value(), 1u);
 }
 
+TEST_F(RpcTest, HandlerBoundAfterTheSendButBeforeArrivalRuns) {
+  // The handler is looked up when the message lands, not when it is sent.
+  rpc_.Notify(0, 3, MsgKind::kLease, 64);
+  const TimeNs arrival = Nanos(1500) + WireTime(LinkParams::InfiniBand56G(), 64);
+  std::vector<TimeNs> seen;
+  loop_.ScheduleAt(arrival - 1, [&] {
+    rpc_.Bind(3, MsgKind::kLease,
+              [&](const RpcLayer::Inbound& msg) {
+                EXPECT_EQ(msg.src, 0);
+                seen.push_back(loop_.now());
+              });
+  });
+  loop_.Run();
+  EXPECT_EQ(seen, std::vector<TimeNs>{arrival});
+}
+
+TEST_F(RpcTest, RebindingReplacesTheHandler) {
+  int first = 0;
+  int second = 0;
+  rpc_.Bind(2, MsgKind::kControl, [&](const RpcLayer::Inbound&) { ++first; });
+  rpc_.Call(0, 2, MsgKind::kControl, 64, nullptr);
+  loop_.Run();
+  rpc_.Bind(2, MsgKind::kControl, [&](const RpcLayer::Inbound&) { ++second; });
+  rpc_.Call(1, 2, MsgKind::kControl, 64, nullptr);
+  rpc_.Datagram(3, 2, MsgKind::kControl, 64, nullptr);
+  loop_.Run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 2);
+}
+
+TEST_F(RpcTest, UnboundDestinationAndKindIsDroppedSilently) {
+  // Handlers for the same node under another kind, and for the same kind on
+  // another node, must not catch the message.
+  int wrong_kind = 0;
+  int wrong_node = 0;
+  rpc_.Bind(1, MsgKind::kIoDoorbell, [&](const RpcLayer::Inbound&) { ++wrong_kind; });
+  rpc_.Bind(2, MsgKind::kTlbShootdown, [&](const RpcLayer::Inbound&) { ++wrong_node; });
+  rpc_.Call(0, 1, MsgKind::kTlbShootdown, 64, nullptr);
+  rpc_.Notify(3, 1, MsgKind::kDsmOwnerNotify, 64);
+  rpc_.Datagram(0, 1, MsgKind::kTlbShootdown, 64, nullptr);
+  loop_.Run();
+  EXPECT_EQ(wrong_kind, 0);
+  EXPECT_EQ(wrong_node, 0);
+  // The messages did cross the wire; only the dispatch found no handler.
+  EXPECT_EQ(fabric_.stats().total_messages.value(), 3u);
+  EXPECT_EQ(rpc_.stats().calls.value(), 2u);
+  EXPECT_EQ(rpc_.stats().datagrams.value(), 1u);
+}
+
 TEST_F(RpcTest, CallOptsRunFailureBookkeepingExactlyOnce) {
   FaultPlan plan(1);
   plan.CrashNode(1, 0);

@@ -22,6 +22,8 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -48,22 +50,28 @@ bool Ready(KeyValues& args, const std::string& invalid = "") {
   return false;
 }
 
-// Parses "fragvisor" | "giantvm" | "overcommit[:P]" into `setup`.
-bool ParseSystem(const std::string& system, Setup* setup) {
+// Parses "fragvisor" | "giantvm" | "overcommit[:P]" into `setup`, P a whole
+// integer >= 1. Returns "" or why `system` is refused.
+std::string ParseSystem(const std::string& system, Setup* setup) {
+  constexpr std::string_view kOvercommit = "overcommit";
   if (system == "fragvisor") {
     setup->system = System::kFragVisor;
   } else if (system == "giantvm") {
     setup->system = System::kGiantVm;
-  } else if (system.rfind("overcommit", 0) == 0) {
+  } else if (system == kOvercommit) {
     setup->system = System::kOvercommit;
-    const size_t colon = system.find(':');
-    setup->overcommit_pcpus = colon == std::string::npos
-                                  ? 1
-                                  : std::atoi(system.substr(colon + 1).c_str());
+    setup->overcommit_pcpus = 1;
+  } else if (system.size() > kOvercommit.size() && system.starts_with(kOvercommit) &&
+             system[kOvercommit.size()] == ':') {
+    setup->system = System::kOvercommit;
+    const std::string error = CodecFor<int>()->parse(
+        std::string_view(system).substr(kOvercommit.size() + 1), AtLeast(1),
+        &setup->overcommit_pcpus);
+    if (!error.empty()) return "'" + system + "': pCPU count " + error;
   } else {
-    return false;
+    return "'" + system + "' is not fragvisor|giantvm|overcommit[:P]";
   }
-  return true;
+  return "";
 }
 
 // Fault-injection flags, shared by every workload command:
@@ -119,9 +127,9 @@ void ReadReliabilitySpec(KeyValues& args, Setup* setup) {
 Setup MakeSetup(KeyValues& args) {
   Setup setup;
   setup.vcpus = args.Get("vcpus", 4);
-  const std::string system = args.Str("system", "fragvisor");
-  if (!ParseSystem(system, &setup)) {
-    args.Fail("system", "'" + system + "' is not fragvisor|giantvm|overcommit[:P]");
+  if (const std::string error = ParseSystem(args.Str("system", "fragvisor"), &setup);
+      !error.empty()) {
+    args.Fail("system", error);
   }
   if (args.Get("vanilla-guest", false)) {
     setup.guest = GuestKernelConfig::Vanilla();
@@ -595,7 +603,14 @@ int RunSweep(KeyValues& args) {
   const uint64_t seed = args.Get<uint64_t>("seed", 1);
   const int vcpus_min = args.Get("vcpus-min", 2);
   const int vcpus_max = args.Get("vcpus-max", 4);
-  const std::string systems = args.Str("systems", "fragvisor,giantvm,overcommit:1,overcommit:2");
+  const std::string names = args.Str("systems", "fragvisor,giantvm,overcommit:1,overcommit:2");
+  std::vector<std::pair<std::string, Setup>> systems;
+  for (const std::string_view name : Split(names, ',')) {
+    auto& [system, setup] = systems.emplace_back(std::string(name), Setup());
+    if (const std::string error = ParseSystem(system, &setup); !error.empty()) {
+      args.Fail("systems", error);
+    }
+  }
   const int jobs = args.Get("jobs", 1);
   if (!Ready(args)) return 2;
   const NpbProfile profile = ScaleNpb(NpbByName(bench), scale);
@@ -605,14 +620,7 @@ int RunSweep(KeyValues& args) {
   bench::PrintRow({"system", "vCPUs", "time(ms)", "faults/s"}, 14);
 
   bench::ParallelRunner runner(jobs);
-  for (const std::string_view name : Split(systems, ',')) {
-    const std::string system(name);
-    Setup base;
-    if (!ParseSystem(system, &base)) {
-      std::fprintf(stderr, "unknown system '%s' (fragvisor|giantvm|overcommit[:P])\n",
-                   system.c_str());
-      return 2;
-    }
+  for (const auto& [system, base] : systems) {
     for (int vcpus = vcpus_min; vcpus <= vcpus_max; ++vcpus) {
       runner.Submit([setup = base, system, vcpus, profile, seed]() mutable {
         setup.vcpus = vcpus;
