@@ -75,10 +75,6 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Nodes per dense link table: above this the O(n^2) table would dominate
-// memory and the map wins.
-constexpr int kDenseLinkNodes = 512;
-
 }  // namespace
 
 int PageCompressClass(uint64_t seed, uint64_t page) {
@@ -144,11 +140,9 @@ void Fabric::InitTopologyState() {
     core_busy_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(topology_.core_planes),
                       0);
   }
-  if (num_nodes_ <= kDenseLinkNodes) {
-    LinkState blank;
-    blank.params = defaults_;
-    dense_links_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_), blank);
-  }
+  LinkState blank;
+  blank.params = defaults_;
+  links_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_), blank);
 }
 
 Fabric::Fabric(EventLoop* loop, int num_nodes, LinkParams defaults, TopologyConfig topology)
@@ -178,35 +172,11 @@ Fabric::Fabric(ParallelEventLoop* ploop, int num_nodes, LinkParams defaults,
   for (RetryStats& r : shard_retry_) {
     r.Init(num_nodes);
   }
-  // Pre-create every directed link: links_ is then never mutated during a
-  // run, so concurrent LinkFor lookups from different partitions are reads.
-  // (The dense table is already fully materialized at construction.)
-  if (dense_links_.empty()) {
-    for (NodeId s = 0; s < num_nodes; ++s) {
-      for (NodeId d = 0; d < num_nodes; ++d) {
-        if (s != d) {
-          LinkFor(s, d);
-        }
-      }
-    }
-  }
 }
 
 void Fabric::ValidateNode(NodeId n) const {
   FV_CHECK_GE(n, 0);
   FV_CHECK_LT(n, num_nodes_);
-}
-
-Fabric::LinkState& Fabric::LinkFor(NodeId src, NodeId dst) {
-  if (!dense_links_.empty()) {
-    return dense_links_[static_cast<size_t>(src) * static_cast<size_t>(num_nodes_) +
-                        static_cast<size_t>(dst)];
-  }
-  auto [it, inserted] = links_.try_emplace({src, dst});
-  if (inserted) {
-    it->second.params = defaults_;
-  }
-  return it->second;
 }
 
 void Fabric::SetLinkParams(NodeId src, NodeId dst, LinkParams params) {
@@ -285,98 +255,86 @@ TimeNs Fabric::WireArrival(NodeId src, NodeId dst, LinkState& link, uint64_t siz
   return core_depart + link.params.latency + CrossPodExtra(src, dst);
 }
 
+Fabric::CommitId Fabric::Commit(NodeId src, NodeId dst, TimeNs arrival, TimeNs receiver_delay,
+                                DeliveryFn&& cb, bool cancellable) {
+  if (ploop_ != nullptr) {
+    return ploop_->ScheduleCross(src, dst, arrival, receiver_delay, std::move(cb), cancellable);
+  }
+  if (receiver_delay > 0) {
+    return loop_->ScheduleRelay(arrival, receiver_delay, std::move(cb));
+  }
+  return loop_->ScheduleAt(arrival, std::move(cb));
+}
+
+void Fabric::Withdraw(NodeId src, CommitId id) {
+  if (ploop_ != nullptr) {
+    ploop_->CancelCross(src, id);
+  } else {
+    loop_->Cancel(id);
+  }
+}
+
+bool Fabric::Lost(NodeId src, NodeId dst, TimeNs now, TimeNs base_arrival,
+                  FaultPlan::Perturbation* pert) {
+  if (plan_->LinkCut(src, dst, now) || !plan_->NodeUp(dst, base_arrival)) {
+    // A node-parallel plan counts in the sender's shard, like Perturb does.
+    FaultPlanStats& stats =
+        plan_->per_node_streams() ? plan_->ShardStats(src) : plan_->mutable_stats();
+    stats.messages_dropped.Add();
+    return true;
+  }
+  *pert = plan_->Perturb(src, dst, now);
+  return pert->drop;
+}
+
+TimeNs Fabric::Transmit(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn&& cb,
+                        TimeNs receiver_delay) {
+  EventLoop* sloop = node_loop(src);
+  if (src == dst) {
+    // Loopback never hits the wire (and never faults): deliver in-order at
+    // the current time.
+    if (receiver_delay > 0) {
+      sloop->ScheduleRelay(sloop->now(), receiver_delay, std::move(cb));
+    } else {
+      sloop->ScheduleAfter(0, std::move(cb));
+    }
+    return sloop->now();
+  }
+  LinkState& link = LinkFor(src, dst);
+  StatsFor(src).Account(kind, size);
+  const TimeNs arrival = WireArrival(src, dst, link, size, sloop->now());
+  if (capture_ != nullptr) {
+    CaptureDelivery(src, dst, kind, size, arrival, receiver_delay);
+  }
+  Commit(src, dst, arrival, receiver_delay, std::move(cb));
+  return arrival;
+}
+
 void Fabric::Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn&& on_delivery,
                   TimeNs receiver_delay, DeliveryFn&& on_fail, DeliveryFn&& on_settle) {
   ValidateNode(src);
   ValidateNode(dst);
   FV_CHECK(on_delivery != nullptr);
-  if (ploop_ != nullptr) {
-    SendParallel(src, dst, kind, size, std::move(on_delivery), receiver_delay,
-                 std::move(on_fail), std::move(on_settle));
-    return;
-  }
-  // Settle notifications exist for sender-partition-local protocols; serial
-  // callers see delivery directly and must not pass one.
-  FV_CHECK(on_settle == nullptr);
-  if (src == dst) {
-    // Loopback never hits the wire (and never faults): deliver in-order at
-    // the current time.
-    if (receiver_delay > 0) {
-      loop_->ScheduleRelay(loop_->now(), receiver_delay, std::move(on_delivery));
-    } else {
-      loop_->ScheduleAfter(0, std::move(on_delivery));
+  if (plan_ == nullptr || src == dst) {
+    // Nothing can be lost: one copy, settled at its arrival instant.
+    const TimeNs arrival = Transmit(src, dst, kind, size, std::move(on_delivery), receiver_delay);
+    if (on_settle != nullptr) {
+      node_loop(src)->ScheduleAt(arrival, std::move(on_settle));
     }
     return;
   }
-  if (plan_ == nullptr) {
-    LinkState& link = LinkFor(src, dst);
-    stats_.Account(kind, size);
-    const TimeNs arrival = WireArrival(src, dst, link, size, loop_->now());
-    if (capture_ != nullptr) {
-      CaptureDelivery(src, dst, kind, size, arrival, receiver_delay);
-    }
-    if (receiver_delay > 0) {
-      loop_->ScheduleRelay(arrival, receiver_delay, std::move(on_delivery));
-    } else {
-      loop_->ScheduleAt(arrival, std::move(on_delivery));
-    }
-    return;
-  }
-  const uint32_t slot = AllocPending();
-  Pending& p = pending_[slot];
-  p.src = src;
-  p.dst = dst;
-  p.kind = kind;
-  p.size = size;
-  p.receiver_delay = receiver_delay;
-  p.on_delivery = std::move(on_delivery);
-  p.on_fail = std::move(on_fail);
-  Attempt(MakePendingId(slot, p.gen));
-}
-
-uint32_t Fabric::AllocPending() {
-  if (pending_free_head_ != kNpos) {
-    const uint32_t slot = pending_free_head_;
-    pending_free_head_ = pending_[slot].next_free;
-    pending_[slot].next_free = kNpos;
-    return slot;
-  }
-  pending_.emplace_back();
-  return static_cast<uint32_t>(pending_.size() - 1);
-}
-
-void Fabric::FreePending(uint32_t slot) {
-  Pending& p = pending_[slot];
-  p.on_delivery = nullptr;
-  p.on_fail = nullptr;
-  p.attempts = 0;
-  p.copies_in_flight = 0;
-  p.delivered = false;
-  p.failed = false;
-  p.timer = kInvalidEventId;
-  ++p.gen;
-  p.next_free = pending_free_head_;
-  pending_free_head_ = slot;
-}
-
-Fabric::Pending* Fabric::PendingFor(PendingId id, uint32_t* slot_out) {
-  const uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu) - 1;
-  FV_CHECK_LT(slot, pending_.size());
-  Pending& p = pending_[slot];
-  if (p.gen != static_cast<uint32_t>(id >> 32)) {
-    return nullptr;  // slot was retired and reused; the copy is a ghost
-  }
-  if (slot_out != nullptr) {
-    *slot_out = slot;
-  }
-  return &p;
-}
-
-void Fabric::MaybeReleasePending(uint32_t slot) {
-  Pending& p = pending_[slot];
-  if ((p.delivered || p.failed) && p.copies_in_flight == 0) {
-    FreePending(slot);
-  }
+  Pending* p = new Pending();
+  p->src = src;
+  p->dst = dst;
+  p->kind = kind;
+  p->size = size;
+  p->receiver_delay = receiver_delay;
+  p->on_delivery = std::move(on_delivery);
+  p->on_fail = std::move(on_fail);
+  p->on_settle = std::move(on_settle);
+  p->refs = 1;  // this frame
+  Attempt(p);
+  Unref(p);
 }
 
 TimeNs Fabric::GraceFor(int attempt) const {
@@ -385,112 +343,113 @@ TimeNs Fabric::GraceFor(int attempt) const {
   return std::min(policy_.ack_grace << shift, policy_.max_grace);
 }
 
-void Fabric::Attempt(PendingId id) {
-  uint32_t slot = 0;
-  Pending* p = PendingFor(id, &slot);
-  FV_CHECK(p != nullptr);
+// The reliable channel. Everything below runs on the *sending* node's loop.
+// The receiving side only ever sees committed deliveries; all channel state
+// (link clocks, retry timers, the win/fail decision) is src-local, which is
+// what makes the channel race-free without locks on the parallel engine.
+
+void Fabric::Attempt(Pending* p) {
+  EventLoop* sloop = node_loop(p->src);
   ++p->attempts;
-  const TimeNs now = loop_->now();
+  const TimeNs now = sloop->now();
   if (!plan_->NodeUp(p->src, now)) {
     // The sender itself is down; nothing reaches the wire.
-    FailPending(id);
+    Fail(p);
     return;
   }
   LinkState& link = LinkFor(p->src, p->dst);
-  stats_.Account(p->kind, p->size);
+  StatsFor(p->src).Account(p->kind, p->size);
   const TimeNs base_arrival = WireArrival(p->src, p->dst, link, p->size, now);
-  bool lost = plan_->LinkCut(p->src, p->dst, now) || !plan_->NodeUp(p->dst, base_arrival);
   FaultPlan::Perturbation pert;
-  if (lost) {
-    plan_->mutable_stats().messages_dropped.Add();
-  } else {
-    pert = plan_->Perturb(p->src, p->dst, now);
-    lost = pert.drop;
-  }
-  if (!lost) {
-    TimeNs arrival = std::max(base_arrival + pert.extra_delay, link.last_arrival);
-    link.last_arrival = arrival;
-    ++p->copies_in_flight;
-    loop_->ScheduleAt(arrival, [this, id] { DeliverReliable(id); });
+  if (!Lost(p->src, p->dst, now, base_arrival, &pert)) {
+    const TimeNs arrival = ClampArrival(link, base_arrival + pert.extra_delay);
+    if (!p->winner_scheduled) {
+      // The first transmitted copy is always the one the receiver accepts
+      // (arrivals on a link are non-decreasing in scheduling order, FIFO at
+      // ties), so its delivery can be committed right now; a src-local
+      // marker at the same arrival instant stops the retransmit clock.
+      p->winner_scheduled = true;
+      if (capture_ != nullptr) {
+        CaptureDelivery(p->src, p->dst, p->kind, p->size, arrival, p->receiver_delay);
+      }
+      p->winner = Commit(p->src, p->dst, arrival, p->receiver_delay, std::move(p->on_delivery),
+                         /*cancellable=*/true);
+      ++p->refs;
+      sloop->ScheduleAt(arrival, [this, p] { OnWinnerSettled(p); });
+    } else {
+      // A transmitted retransmit copy: it lands after the winner and the
+      // receiver suppresses it as a duplicate.
+      RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
+    }
     if (pert.duplicate) {
-      const TimeNs dup_arrival = std::max(arrival + pert.duplicate_lag, link.last_arrival);
-      link.last_arrival = dup_arrival;
-      ++p->copies_in_flight;
-      loop_->ScheduleAt(dup_arrival, [this, id] { DeliverReliable(id); });
+      ClampArrival(link, arrival + pert.duplicate_lag);
+      RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
     }
   }
   // The retransmit clock runs against the unperturbed schedule: the sender
   // knows the link and knows when the ack should have been back.
-  p->timer = loop_->ScheduleAt(base_arrival + GraceFor(p->attempts),
-                               [this, id] { OnRetryTimeout(id); });
+  ++p->refs;
+  p->timer = sloop->ScheduleAt(base_arrival + GraceFor(p->attempts),
+                               [this, p] { OnRetryTimeout(p); });
 }
 
-void Fabric::DeliverReliable(PendingId id) {
-  uint32_t slot = 0;
-  Pending* p = PendingFor(id, &slot);
-  if (p == nullptr) {
-    stale_deliveries_.Add();
-    return;
-  }
-  --p->copies_in_flight;
-  if (p->delivered || p->failed) {
-    // A duplicate or a straggler from an earlier attempt; the receiver has
-    // seen this request id already (or the sender gave up on it).
-    retry_stats_.dups_suppressed.Add(p->dst);
-    MaybeReleasePending(slot);
-    return;
-  }
-  p->delivered = true;
-  if (capture_ != nullptr) {
-    // Accept time IS loop_->now(): DeliverReliable runs at the copy's
-    // arrival instant, before any receiver_delay hop.
-    CaptureDelivery(p->src, p->dst, p->kind, p->size, loop_->now(), p->receiver_delay);
-  }
-  if (p->timer != kInvalidEventId) {
-    loop_->Cancel(p->timer);
-    p->timer = kInvalidEventId;
-  }
-  DeliveryFn cb = std::move(p->on_delivery);
-  const TimeNs receiver_delay = p->receiver_delay;
-  MaybeReleasePending(slot);
-  if (receiver_delay > 0) {
-    loop_->ScheduleAfter(receiver_delay, std::move(cb));
+void Fabric::OnWinnerSettled(Pending* p) {
+  int drop = 1;  // the settle marker's own ref
+  DeliveryFn settle;
+  if (p->failed) {
+    // The sender gave up before the accepted copy landed, and withdrew it:
+    // the receiver would have suppressed it as a copy of a failed send.
+    RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
   } else {
-    cb();
+    p->settled = true;
+    settle = std::move(p->on_settle);
+    if (p->timer != kInvalidEventId && node_loop(p->src)->Cancel(p->timer)) {
+      p->timer = kInvalidEventId;
+      ++drop;  // the cancelled retransmit timer's ref dies with it
+    }
+  }
+  FV_CHECK_GE(p->refs, drop);
+  if ((p->refs -= drop) == 0) {
+    delete p;
+  }
+  // After the ref bookkeeping: the callback may recursively send.
+  if (settle != nullptr) {
+    settle();
   }
 }
 
-void Fabric::OnRetryTimeout(PendingId id) {
-  uint32_t slot = 0;
-  Pending* p = PendingFor(id, &slot);
-  FV_CHECK(p != nullptr);  // the timer is cancelled before the slot retires
+void Fabric::OnRetryTimeout(Pending* p) {
   p->timer = kInvalidEventId;
-  retry_stats_.timeouts.Add(p->src);
+  FV_CHECK(!p->settled);  // the settle marker cancels any pending timer first
+  RetryStatsFor(p->src).timeouts.Add(p->src);
   if (p->attempts >= policy_.max_attempts) {
-    FailPending(id);
-    return;
+    Fail(p);
+  } else {
+    RetryStatsFor(p->src).retransmits.Add(p->src);
+    Attempt(p);
   }
-  retry_stats_.retransmits.Add(p->src);
-  Attempt(id);
+  Unref(p);
 }
 
-void Fabric::FailPending(PendingId id) {
-  uint32_t slot = 0;
-  Pending* p = PendingFor(id, &slot);
-  FV_CHECK(p != nullptr);
-  retry_stats_.send_failures.Add(p->src);
+void Fabric::Fail(Pending* p) {
+  // Callers hold a ref (the Send frame or the firing timer's) and have
+  // already cleared the timer, so `p` outlives this call.
+  FV_CHECK(p->timer == kInvalidEventId);
+  RetryStatsFor(p->src).send_failures.Add(p->src);
   p->failed = true;
-  if (p->timer != kInvalidEventId) {
-    loop_->Cancel(p->timer);
-    p->timer = kInvalidEventId;
+  p->on_settle = nullptr;  // a failed send never settles
+  if (p->winner_scheduled && !p->settled) {
+    // Exact on the serial loop. On the parallel engine a winner still at
+    // least one window out is withdrawn at the next barrier; closer than
+    // that it may still deliver (the fail-after-transmit corner documented
+    // in DESIGN.md §9). Either outcome is identical at every thread count.
+    Withdraw(p->src, p->winner);
   }
   if (p->on_fail != nullptr) {
-    // Asynchronously, so a failure surfacing inside Send() cannot reenter the
-    // caller mid-construction.
-    loop_->ScheduleAfter(0, std::move(p->on_fail));
+    // Asynchronously, so a failure surfacing inside Send() cannot reenter
+    // the caller mid-construction.
+    node_loop(p->src)->ScheduleAfter(0, std::move(p->on_fail));
   }
-  p->on_fail = nullptr;
-  MaybeReleasePending(slot);
 }
 
 void Fabric::SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
@@ -498,75 +457,39 @@ void Fabric::SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
   ValidateNode(src);
   ValidateNode(dst);
   FV_CHECK(on_delivery != nullptr);
-  if (ploop_ != nullptr) {
-    SendDatagramParallel(src, dst, kind, size, std::move(on_delivery), receiver_delay);
+  if (plan_ == nullptr || src == dst) {
+    Transmit(src, dst, kind, size, std::move(on_delivery), receiver_delay);
     return;
   }
-  if (src == dst) {
-    if (receiver_delay > 0) {
-      loop_->ScheduleRelay(loop_->now(), receiver_delay, std::move(on_delivery));
-    } else {
-      loop_->ScheduleAfter(0, std::move(on_delivery));
-    }
-    return;
-  }
-  const TimeNs now = loop_->now();
-  if (plan_ != nullptr && !plan_->NodeUp(src, now)) {
+  const TimeNs now = node_loop(src)->now();
+  if (!plan_->NodeUp(src, now)) {
     return;  // a crashed node emits nothing, and nobody is told
   }
   LinkState& link = LinkFor(src, dst);
-  stats_.Account(kind, size);
+  StatsFor(src).Account(kind, size);
   const TimeNs base_arrival = WireArrival(src, dst, link, size, now);
-  if (plan_ == nullptr) {
-    if (capture_ != nullptr) {
-      CaptureDelivery(src, dst, kind, size, base_arrival, receiver_delay);
-    }
-    if (receiver_delay > 0) {
-      loop_->ScheduleRelay(base_arrival, receiver_delay, std::move(on_delivery));
-    } else {
-      loop_->ScheduleAt(base_arrival, std::move(on_delivery));
-    }
-    return;
-  }
-  bool lost = plan_->LinkCut(src, dst, now) || !plan_->NodeUp(dst, base_arrival);
   FaultPlan::Perturbation pert;
-  if (lost) {
-    plan_->mutable_stats().messages_dropped.Add();
-  } else {
-    pert = plan_->Perturb(src, dst, now);
-    lost = pert.drop;
-  }
-  if (lost) {
+  if (Lost(src, dst, now, base_arrival, &pert)) {
     return;
   }
-  TimeNs arrival = std::max(base_arrival + pert.extra_delay, link.last_arrival);
-  link.last_arrival = arrival;
+  const TimeNs arrival = ClampArrival(link, base_arrival + pert.extra_delay);
   if (capture_ != nullptr) {
     CaptureDelivery(src, dst, kind, size, arrival, receiver_delay);
   }
   if (!pert.duplicate) {
-    if (receiver_delay > 0) {
-      loop_->ScheduleRelay(arrival, receiver_delay, std::move(on_delivery));
-    } else {
-      loop_->ScheduleAt(arrival, std::move(on_delivery));
-    }
+    Commit(src, dst, arrival, receiver_delay, std::move(on_delivery));
     return;
   }
   // Duplicated datagram: the callback fires twice. InlineFunction is
-  // move-only, so both copies share one heap slot.
+  // move-only, so both copies share one heap slot (both land on dst, so
+  // only dst's thread ever touches it).
   auto shared = std::make_shared<DeliveryFn>(std::move(on_delivery));
-  const TimeNs dup_arrival = std::max(arrival + pert.duplicate_lag, link.last_arrival);
-  link.last_arrival = dup_arrival;
+  const TimeNs dup_arrival = ClampArrival(link, arrival + pert.duplicate_lag);
   if (capture_ != nullptr) {
     CaptureDelivery(src, dst, kind, size, dup_arrival, receiver_delay);
   }
-  if (receiver_delay > 0) {
-    loop_->ScheduleRelay(arrival, receiver_delay, [shared] { (*shared)(); });
-    loop_->ScheduleRelay(dup_arrival, receiver_delay, [shared] { (*shared)(); });
-  } else {
-    loop_->ScheduleAt(arrival, [shared] { (*shared)(); });
-    loop_->ScheduleAt(dup_arrival, [shared] { (*shared)(); });
-  }
+  Commit(src, dst, arrival, receiver_delay, [shared] { (*shared)(); });
+  Commit(src, dst, dup_arrival, receiver_delay, [shared] { (*shared)(); });
 }
 
 void Fabric::SendRequestResponse(NodeId src, NodeId dst, MsgKind kind, uint64_t req_size,
@@ -597,226 +520,6 @@ void Fabric::SendRequestResponse(NodeId src, NodeId dst, MsgKind kind, uint64_t 
         });
       },
       0, [fail] { (*fail)(); });
-}
-
-// --- Parallel-core send paths -----------------------------------------------
-//
-// Everything below runs on the *sending* partition's thread. The receiving
-// side only ever sees committed mailbox deliveries; all channel state (link
-// clocks, retry timers, the win/fail decision) is src-local, which is what
-// makes the reliable channel race-free without locks.
-
-void Fabric::SendParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                          DeliveryFn&& on_delivery, TimeNs receiver_delay, DeliveryFn&& on_fail,
-                          DeliveryFn&& on_settle) {
-  EventLoop* sloop = ploop_->partition(src);
-  if (src == dst) {
-    if (receiver_delay > 0) {
-      sloop->ScheduleRelay(sloop->now(), receiver_delay, std::move(on_delivery));
-    } else {
-      sloop->ScheduleAfter(0, std::move(on_delivery));
-    }
-    if (on_settle != nullptr) {
-      // Loopback "arrives" instantly; settle after the delivery is queued.
-      sloop->ScheduleAfter(0, std::move(on_settle));
-    }
-    return;
-  }
-  if (plan_ == nullptr) {
-    LinkState& link = LinkFor(src, dst);
-    StatsFor(src).Account(kind, size);
-    const TimeNs arrival = WireArrival(src, dst, link, size, sloop->now());
-    if (capture_ != nullptr) {
-      CaptureDelivery(src, dst, kind, size, arrival, receiver_delay);
-    }
-    ploop_->ScheduleCross(src, dst, arrival, receiver_delay, std::move(on_delivery));
-    if (on_settle != nullptr) {
-      sloop->ScheduleAt(arrival, std::move(on_settle));
-    }
-    return;
-  }
-  ParPending* p = new ParPending();
-  p->src = src;
-  p->dst = dst;
-  p->kind = kind;
-  p->size = size;
-  p->receiver_delay = receiver_delay;
-  p->on_delivery = std::move(on_delivery);
-  p->on_fail = std::move(on_fail);
-  p->on_settle = std::move(on_settle);
-  p->refs = 1;  // this frame
-  AttemptParallel(p);
-  Unref(p);
-}
-
-void Fabric::AttemptParallel(ParPending* p) {
-  EventLoop* sloop = ploop_->partition(p->src);
-  ++p->attempts;
-  const TimeNs now = sloop->now();
-  if (!plan_->NodeUp(p->src, now)) {
-    // The sender itself is down; nothing reaches the wire.
-    FailParallel(p);
-    return;
-  }
-  LinkState& link = LinkFor(p->src, p->dst);
-  StatsFor(p->src).Account(p->kind, p->size);
-  const TimeNs base_arrival = WireArrival(p->src, p->dst, link, p->size, now);
-  bool lost = plan_->LinkCut(p->src, p->dst, now) || !plan_->NodeUp(p->dst, base_arrival);
-  FaultPlan::Perturbation pert;
-  if (lost) {
-    plan_->ShardStats(p->src).messages_dropped.Add();
-  } else {
-    pert = plan_->Perturb(p->src, p->dst, now);
-    lost = pert.drop;
-  }
-  if (!lost) {
-    TimeNs arrival = std::max(base_arrival + pert.extra_delay, link.last_arrival);
-    link.last_arrival = arrival;
-    if (!p->winner_scheduled) {
-      // The first transmitted copy is always the one the receiver accepts
-      // (arrivals on a link are non-decreasing in scheduling order, FIFO at
-      // ties), so its delivery can be committed right now; a src-local
-      // marker at the same arrival instant stops the retransmit clock
-      // exactly when the serial channel would.
-      p->winner_scheduled = true;
-      if (capture_ != nullptr) {
-        CaptureDelivery(p->src, p->dst, p->kind, p->size, arrival, p->receiver_delay);
-      }
-      p->winner = ploop_->ScheduleCross(p->src, p->dst, arrival, p->receiver_delay,
-                                        std::move(p->on_delivery), /*cancellable=*/true);
-      ++p->refs;
-      sloop->ScheduleAt(arrival, [this, p] { OnWinnerSettled(p); });
-    } else {
-      // A transmitted retransmit copy: it lands after the winner and the
-      // receiver suppresses it as a duplicate.
-      RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
-    }
-    if (pert.duplicate) {
-      const TimeNs dup_arrival = std::max(arrival + pert.duplicate_lag, link.last_arrival);
-      link.last_arrival = dup_arrival;
-      RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
-    }
-  }
-  // The retransmit clock runs against the unperturbed schedule, as in serial.
-  ++p->refs;
-  p->timer = sloop->ScheduleAt(base_arrival + GraceFor(p->attempts),
-                               [this, p] { OnRetryTimeoutParallel(p); });
-}
-
-void Fabric::OnWinnerSettled(ParPending* p) {
-  int drop = 1;  // the settle marker's own ref
-  DeliveryFn settle;
-  if (p->failed) {
-    // The sender gave up before the accepted copy landed; in serial that
-    // arrival is suppressed as a duplicate of a failed id.
-    RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
-  } else {
-    p->settled = true;
-    settle = std::move(p->on_settle);
-    p->on_settle = nullptr;
-    if (p->timer != kInvalidEventId &&
-        ploop_->partition(p->src)->Cancel(p->timer)) {
-      p->timer = kInvalidEventId;
-      ++drop;  // the cancelled retransmit timer's ref dies with it
-    }
-  }
-  FV_CHECK_GE(p->refs, drop);
-  if ((p->refs -= drop) == 0) {
-    delete p;
-  }
-  // After the ref bookkeeping: the callback may recursively send.
-  if (settle != nullptr) {
-    settle();
-  }
-}
-
-void Fabric::OnRetryTimeoutParallel(ParPending* p) {
-  p->timer = kInvalidEventId;
-  FV_CHECK(!p->settled);  // the settle marker cancels any pending timer first
-  RetryStatsFor(p->src).timeouts.Add(p->src);
-  if (p->attempts >= policy_.max_attempts) {
-    FailParallel(p);
-  } else {
-    RetryStatsFor(p->src).retransmits.Add(p->src);
-    AttemptParallel(p);
-  }
-  Unref(p);
-}
-
-void Fabric::FailParallel(ParPending* p) {
-  RetryStatsFor(p->src).send_failures.Add(p->src);
-  p->failed = true;
-  p->on_settle = nullptr;  // a failed send never settles
-  if (p->timer != kInvalidEventId) {
-    if (ploop_->partition(p->src)->Cancel(p->timer)) {
-      Unref(p);
-    }
-    p->timer = kInvalidEventId;
-  }
-  if (p->winner_scheduled && !p->settled) {
-    // Best effort: a winner still at least one window out is withdrawn at
-    // the next barrier; closer than that it may still deliver (the residual
-    // fail-after-transmit corner documented in DESIGN.md §9). Either outcome
-    // is identical at every thread count.
-    ploop_->CancelCross(p->src, p->winner);
-  }
-  if (p->on_fail != nullptr) {
-    // Asynchronously, so a failure surfacing inside Send() cannot reenter
-    // the caller mid-construction.
-    ploop_->partition(p->src)->ScheduleAfter(0, std::move(p->on_fail));
-    p->on_fail = nullptr;
-  }
-}
-
-void Fabric::SendDatagramParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                                  DeliveryFn&& on_delivery, TimeNs receiver_delay) {
-  EventLoop* sloop = ploop_->partition(src);
-  if (src == dst) {
-    if (receiver_delay > 0) {
-      sloop->ScheduleRelay(sloop->now(), receiver_delay, std::move(on_delivery));
-    } else {
-      sloop->ScheduleAfter(0, std::move(on_delivery));
-    }
-    return;
-  }
-  const TimeNs now = sloop->now();
-  if (plan_ != nullptr && !plan_->NodeUp(src, now)) {
-    return;  // a crashed node emits nothing, and nobody is told
-  }
-  LinkState& link = LinkFor(src, dst);
-  StatsFor(src).Account(kind, size);
-  const TimeNs base_arrival = WireArrival(src, dst, link, size, now);
-  if (plan_ == nullptr) {
-    if (capture_ != nullptr) {
-      CaptureDelivery(src, dst, kind, size, base_arrival, receiver_delay);
-    }
-    ploop_->ScheduleCross(src, dst, base_arrival, receiver_delay, std::move(on_delivery));
-    return;
-  }
-  bool lost = plan_->LinkCut(src, dst, now) || !plan_->NodeUp(dst, base_arrival);
-  FaultPlan::Perturbation pert;
-  if (lost) {
-    plan_->ShardStats(src).messages_dropped.Add();
-  } else {
-    pert = plan_->Perturb(src, dst, now);
-    lost = pert.drop;
-  }
-  if (lost) {
-    return;
-  }
-  TimeNs arrival = std::max(base_arrival + pert.extra_delay, link.last_arrival);
-  link.last_arrival = arrival;
-  if (!pert.duplicate) {
-    ploop_->ScheduleCross(src, dst, arrival, receiver_delay, std::move(on_delivery));
-    return;
-  }
-  // Duplicated datagram: both committed copies land on the same destination
-  // partition, so the shared slot is only ever touched by dst's thread.
-  auto shared = std::make_shared<DeliveryFn>(std::move(on_delivery));
-  const TimeNs dup_arrival = std::max(arrival + pert.duplicate_lag, link.last_arrival);
-  link.last_arrival = dup_arrival;
-  ploop_->ScheduleCross(src, dst, arrival, receiver_delay, [shared] { (*shared)(); });
-  ploop_->ScheduleCross(src, dst, dup_arrival, receiver_delay, [shared] { (*shared)(); });
 }
 
 FabricStats Fabric::MergedStats() const {

@@ -13,24 +13,28 @@
 //
 // Fault injection: AttachFaultPlan() puts a sim::FaultPlan between Send and
 // the wire. With a plan attached, Send() becomes a reliable channel — each
-// message gets a request id, an ack-grace retransmit timer with bounded
-// exponential backoff, and duplicate suppression at the receiver, so the
-// callback runs exactly once (or `on_fail` runs, once, after the attempt
-// budget is spent against a dead or partitioned peer). SendDatagram() skips
-// all of that: fire-and-forget, faults land unfiltered (heartbeats want
-// exactly this). An *empty* attached plan is observationally free: the
-// retransmit timers it arms are cancelled in-place on delivery (true heap
+// message gets an ack-grace retransmit timer with bounded exponential
+// backoff, and the callback runs exactly once (or `on_fail` runs, once, after
+// the attempt budget is spent against a dead or partitioned peer). The whole
+// channel runs at the sender, on both engines: arrivals on a link are
+// non-decreasing in send order, so the first transmitted copy is the one the
+// receiver accepts. Its delivery is committed when it is transmitted, and
+// every later copy (a retransmit or an injected duplicate) is counted as
+// suppressed at the sender and never scheduled. SendDatagram() skips all of
+// that: fire-and-forget, faults land unfiltered (heartbeats want exactly
+// this). An *empty* attached plan is observationally free: the retransmit
+// timers it arms are cancelled in-place at the arrival instant (true heap
 // removal, no time advance), no ack messages exist, and the byte/message
-// accounting is untouched, so every output stays bit-identical to a run with
-// no plan at all.
+// accounting is untouched, so every simulated result stays bit-identical to
+// a run with no plan at all.
 
 #ifndef FRAGVISOR_SRC_NET_FABRIC_H_
 #define FRAGVISOR_SRC_NET_FABRIC_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,12 +157,14 @@ struct RetryPolicy {
 };
 
 // Reliability counters, attributed per node: retransmits/timeouts/failures to
-// the sender, suppressed duplicates to the receiver.
+// the sender, suppressed duplicates to the receiver. Every counter is bumped
+// at the sender (a copy the receiver would discard is known to be one the
+// moment it is transmitted), so each lives in the sending node's shard.
 struct RetryStats {
   NodeCounterSet retransmits;      // resends after a missed ack grace
   NodeCounterSet timeouts;         // grace periods that expired
   NodeCounterSet send_failures;    // sends abandoned after max_attempts
-  NodeCounterSet dups_suppressed;  // duplicate arrivals dropped at receiver
+  NodeCounterSet dups_suppressed;  // copies the receiver discards (counted at send)
 
   void Init(int num_nodes) {
     retransmits.Init(num_nodes);
@@ -272,11 +278,11 @@ class Fabric {
   // unhealed partition. A null on_fail means the caller has its own recovery
   // (or none: legacy callers silently lose the message, as before the plan).
   //
-  // `on_settle` (parallel mode only; must be null on a serial fabric) runs on
-  // the *sending* partition at the instant the accepted copy arrives at the
-  // receiver — the sender-local proof of delivery the parallel engine gets
-  // for free from the first-copy-wins property. Exactly one of on_settle /
-  // on_fail runs; a send abandoned after max_attempts never settles.
+  // `on_settle` (optional) runs on the *sending* node's loop at the instant
+  // the accepted copy arrives at the receiver — the sender-local proof of
+  // delivery the channel gets for free from the first-copy-wins property. At
+  // most one of on_settle / on_fail runs (exactly one once the run drains);
+  // a send abandoned after max_attempts never settles.
   //
   // Callbacks are taken by rvalue reference and moved only into the place
   // that stores them (see the ownership rule in event_loop.h).
@@ -323,8 +329,6 @@ class Fabric {
   uint64_t wire_bytes() const { return MergedStats().total_bytes.value(); }
 
  private:
-  static constexpr uint32_t kNpos = 0xffffffffu;
-
   struct LinkState {
     LinkParams params;
     TimeNs busy_until = 0;
@@ -333,40 +337,19 @@ class Fabric {
     TimeNs last_arrival = 0;
   };
 
-  // One in-flight reliable message. Lives until the sender sees delivery or
-  // gives up, and until every scheduled copy of it has reached the receiver
-  // (late copies must be recognized as duplicates, not ghosts).
+  // Handle of a committed delivery: an EventId on the serial loop, a
+  // CrossEventId on the parallel engine (both only ever passed to Withdraw).
+  using CommitId = uint64_t;
+
+  // One in-flight reliable message. Heap-allocated and entirely owned by the
+  // *sending* node: the retransmit clock, every copy's computed arrival time,
+  // and the win/fail decision are all src-local (arrival times on a link are
+  // non-decreasing in scheduling order thanks to the last_arrival clamp, so
+  // the first transmitted copy is always the one the receiver accepts — the
+  // whole state machine can run at the sender, which is what makes it
+  // race-free on the parallel engine). `refs` counts the src-local events
+  // still holding the pointer.
   struct Pending {
-    NodeId src = kInvalidNode;
-    NodeId dst = kInvalidNode;
-    MsgKind kind = MsgKind::kControl;
-    uint64_t size = 0;
-    TimeNs receiver_delay = 0;
-    DeliveryFn on_delivery;
-    DeliveryFn on_fail;
-    int attempts = 0;
-    int copies_in_flight = 0;  // delivery events currently scheduled
-    bool delivered = false;
-    bool failed = false;
-    EventId timer = kInvalidEventId;
-    uint32_t gen = 0;
-    uint32_t next_free = kNpos;
-  };
-
-  using PendingId = uint64_t;
-
-  static PendingId MakePendingId(uint32_t slot, uint32_t gen) {
-    return (static_cast<PendingId>(gen) << 32) | (slot + 1);
-  }
-
-  // One in-flight reliable message in parallel mode. Heap-allocated and
-  // entirely owned by the *sending* partition: the retransmit clock, every
-  // copy's computed arrival time, and the win/fail decision are all src-local
-  // (arrival times on a link are non-decreasing in scheduling order thanks to
-  // the last_arrival clamp, so the first transmitted copy is always the one
-  // the receiver accepts — the whole state machine can run at the sender).
-  // `refs` counts the src-local events still holding the pointer.
-  struct ParPending {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
     MsgKind kind = MsgKind::kControl;
@@ -380,13 +363,16 @@ class Fabric {
     bool winner_scheduled = false;  // the accepted copy's delivery is committed
     bool settled = false;           // the winner's arrival instant has passed
     bool failed = false;
-    CrossEventId winner = kInvalidCrossEventId;
+    CommitId winner = 0;
     EventId timer = kInvalidEventId;
   };
 
-  LinkState& LinkFor(NodeId src, NodeId dst);
+  LinkState& LinkFor(NodeId src, NodeId dst) {
+    return links_[static_cast<size_t>(src) * static_cast<size_t>(num_nodes_) +
+                  static_cast<size_t>(dst)];
+  }
   void ValidateNode(NodeId n) const;
-  // Sizes the dense link table and the fat-tree congestion horizons.
+  // Sizes the link table and the fat-tree congestion horizons.
   void InitTopologyState();
 
   // Stats shard for traffic sent by `src` (parallel), or the global block.
@@ -413,33 +399,45 @@ class Fabric {
     return SamePod(src, dst) ? 0 : defaults_.latency;
   }
 
-  uint32_t AllocPending();
-  void FreePending(uint32_t slot);
-  Pending* PendingFor(PendingId id, uint32_t* slot_out);
-  void MaybeReleasePending(uint32_t slot);
+  // Asks the attached plan whether a copy sent src -> dst at `now` (arriving
+  // at `base_arrival` if untouched) is lost; when it is not, `*pert` holds
+  // its perturbation. Losses to a crash or a partition are counted here.
+  bool Lost(NodeId src, NodeId dst, TimeNs now, TimeNs base_arrival,
+            FaultPlan::Perturbation* pert);
+  // Clamps a plan-perturbed arrival to the link's FIFO horizon and advances it.
+  static TimeNs ClampArrival(LinkState& link, TimeNs arrival) {
+    link.last_arrival = std::max(arrival, link.last_arrival);
+    return link.last_arrival;
+  }
+
+  // Puts one copy on the wire with nothing able to lose it (no plan, or
+  // loopback, which never hits the wire and never faults) and returns its
+  // arrival instant.
+  TimeNs Transmit(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn&& cb,
+                  TimeNs receiver_delay);
+  // Commits `cb` to run on dst at `arrival` (after a `receiver_delay` relay
+  // hop if nonzero): a cross-partition schedule on the parallel engine, a
+  // plain schedule on the serial loop. Only a `cancellable` commit yields a
+  // handle Withdraw accepts.
+  CommitId Commit(NodeId src, NodeId dst, TimeNs arrival, TimeNs receiver_delay, DeliveryFn&& cb,
+                  bool cancellable = false);
+  // Takes back a committed delivery: exact on the serial loop; on the
+  // parallel engine it lands at the next barrier, so a delivery less than a
+  // lookahead away may still run (DESIGN.md §9).
+  void Withdraw(NodeId src, CommitId id);
 
   // Appends to the capture log, if one is attached (out-of-line so the
   // header needs only a forward declaration of CaptureLog).
   void CaptureDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t size, TimeNs time,
                        TimeNs receiver_delay);
 
+  // The reliable channel; every step runs on the sending node's loop.
   TimeNs GraceFor(int attempt) const;
-  void Attempt(PendingId id);
-  void DeliverReliable(PendingId id);
-  void OnRetryTimeout(PendingId id);
-  void FailPending(PendingId id);
-
-  // Parallel-mode send paths; run entirely on the sending partition.
-  void SendParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                    DeliveryFn&& on_delivery, TimeNs receiver_delay, DeliveryFn&& on_fail,
-                    DeliveryFn&& on_settle);
-  void SendDatagramParallel(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                            DeliveryFn&& on_delivery, TimeNs receiver_delay);
-  void AttemptParallel(ParPending* p);
-  void OnWinnerSettled(ParPending* p);
-  void OnRetryTimeoutParallel(ParPending* p);
-  void FailParallel(ParPending* p);
-  void Unref(ParPending* p) {
+  void Attempt(Pending* p);
+  void OnWinnerSettled(Pending* p);
+  void OnRetryTimeout(Pending* p);
+  void Fail(Pending* p);
+  static void Unref(Pending* p) {
     FV_CHECK_GT(p->refs, 0);
     if (--p->refs == 0) {
       delete p;
@@ -451,12 +449,11 @@ class Fabric {
   int num_nodes_;
   LinkParams defaults_;
   TopologyConfig topology_;
-  // Dense link table, indexed src * num_nodes + dst, sized once at
-  // construction (entries and their params pointers stay stable for the
-  // fabric's lifetime). Clusters too large for a dense table fall back to the
-  // lazily populated map.
-  std::vector<LinkState> dense_links_;
-  std::map<std::pair<NodeId, NodeId>, LinkState> links_;
+  // Link table, indexed src * num_nodes + dst, sized once at construction
+  // (entries and their params references stay stable for the fabric's
+  // lifetime, and a run only ever mutates link (src, dst) from src's
+  // partition).
+  std::vector<LinkState> links_;
   // Fat-tree congestion horizons, all indexed by the sending node (never
   // shared across partitions): the pod uplink, and one entry per (src, core
   // plane) modeling the sender's share of the oversubscribed core.
@@ -472,9 +469,6 @@ class Fabric {
   FaultPlan* plan_ = nullptr;
   RetryPolicy policy_;
   RetryStats retry_stats_;
-  Counter stale_deliveries_;  // copies arriving after their slot was retired
-  std::vector<Pending> pending_;
-  uint32_t pending_free_head_ = kNpos;
 };
 
 // Serialization time of `size` bytes at `params.bytes_per_second`.

@@ -20,8 +20,8 @@
 // never re-moved at each layer it passes through. The callee consumes the
 // argument, so the argument must not live in storage the callee can
 // reallocate: never pass a callback held in this loop's own slots, and never
-// one held in a Fabric pending slot or a ParallelEventLoop outbox to a call
-// that appends to that same container. Move it to a local first.
+// one held in a ParallelEventLoop outbox to a call that appends to that same
+// outbox. Move it to a local first.
 
 #ifndef FRAGVISOR_SRC_SIM_EVENT_LOOP_H_
 #define FRAGVISOR_SRC_SIM_EVENT_LOOP_H_

@@ -1,8 +1,12 @@
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "src/net/fabric.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/fault_plan.h"
+#include "tests/engine_fabric.h"
 
 namespace fragvisor {
 namespace {
@@ -103,6 +107,40 @@ TEST_F(FabricTest, LinkParamsOverride) {
   // 125000 B at 125 MB/s = 1 ms + 100 us latency on the slow link.
   EXPECT_EQ(slow, Millis(1) + Micros(100));
   EXPECT_LT(fast, Micros(20));
+}
+
+// The link table is one dense array at every cluster size and on both
+// engines: past 512 nodes too, every pair starts at the defaults and an
+// override touches exactly its own directed pair.
+TEST_F(FabricTest, LinkTableAtScaleOnBothEngines) {
+  const LinkParams ib = LinkParams::InfiniBand56G();
+  const LinkParams eth = LinkParams::Ethernet1G();
+  for (const int nodes : {513, 1024}) {
+    for (const Engine engine : kEngines) {
+      SCOPED_TRACE(std::to_string(nodes) + " nodes, " + EngineName(engine));
+      EngineFabric net(engine, nodes);
+      Fabric& fabric = net.fabric();
+      const NodeId last = nodes - 1;
+      for (const auto& [s, d] : {std::pair<NodeId, NodeId>{0, 1}, {0, last}, {last, 0},
+                                 {last, last - 1}, {512, 511}}) {
+        EXPECT_EQ(fabric.link_params(s, d).latency, ib.latency);
+        EXPECT_EQ(fabric.link_params(s, d).bytes_per_second, ib.bytes_per_second);
+      }
+      fabric.SetLinkParams(last, 3, eth);
+      EXPECT_EQ(fabric.link_params(last, 3).latency, eth.latency);
+      EXPECT_EQ(fabric.link_params(3, last).latency, ib.latency);
+      EXPECT_EQ(fabric.link_params(last, 4).latency, ib.latency);
+
+      TimeNs slow = -1;
+      TimeNs fast = -1;
+      fabric.Send(last, 3, MsgKind::kIoPayload, 125000, [&]() { slow = net.now(3); });
+      fabric.Send(last, 4, MsgKind::kIoPayload, 125000, [&]() { fast = net.now(4); });
+      net.Run();
+      // 125000 B at 125 MB/s = 1 ms + 100 us latency on the slow link.
+      EXPECT_EQ(slow, Millis(1) + Micros(100));
+      EXPECT_LT(fast, Micros(20));
+    }
+  }
 }
 
 TEST_F(FabricTest, RequestResponseRoundTrip) {

@@ -40,11 +40,12 @@ for config in "${configs[@]}"; do
     # coordinator plus worker pool need the instrumented run: the parallel
     # tier-1 suites (ParallelLoop/ParallelCancel/ParallelStorm, up to 8
     # threads), the marketplace's worker-count byte-compare (the heaviest
-    # outbox and handshake traffic), and the legacy stack hosted on the
-    # parallel engine.
+    # outbox and handshake traffic), the legacy stack hosted on the
+    # parallel engine, and the Fabric suites that run each case on both
+    # engines.
     echo "=== [$config] ctest (tier1 parallel core) ==="
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L tier1 \
-      -R 'Parallel|MarketplaceTest\.ReportByteIdenticalAcrossWorkerCounts|ClusterThreadsTest'
+      -R 'Parallel|MarketplaceTest\.ReportByteIdenticalAcrossWorkerCounts|ClusterThreadsTest|FabricFaultTest\.|FabricTest\.LinkTableAtScaleOnBothEngines'
     continue
   fi
 
