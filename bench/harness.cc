@@ -46,18 +46,25 @@ std::unique_ptr<FaultPlan> BuildFaultPlan(const FaultSpec& spec, int num_nodes) 
   return plan;
 }
 
+// A fault-free run always finishes; under a crash plan (without --protect) a
+// run may strand work for good, and the runners report it instead.
+void CheckFinishedOrFaulted(const TestBed& bed, bool finished) {
+  FV_CHECK(finished || bed.fault_plan != nullptr);
+}
+
 }  // namespace
+
+int TestBedNodes(const Setup& setup) {
+  const int compute = setup.system == System::kOvercommit ? 1 : setup.vcpus;
+  return std::max(compute + (setup.with_client ? 1 : 0), 2);
+}
 
 TestBed MakeTestBed(const Setup& setup) {
   FV_CHECK_GT(setup.vcpus, 0);
   TestBed bed;
 
   Cluster::Config cc;
-  cc.num_nodes = setup.vcpus + (setup.with_client ? 1 : 0);
-  if (setup.system == System::kOvercommit) {
-    cc.num_nodes = 1 + (setup.with_client ? 1 : 0);
-  }
-  cc.num_nodes = std::max(cc.num_nodes, 2);
+  cc.num_nodes = TestBedNodes(setup);
   cc.pcpus_per_node = 8;
   cc.rpc = setup.rpc;
   cc.threads = setup.threads;
@@ -230,7 +237,7 @@ bool FaultReport::operator==(const FaultReport& other) const {
          send_failures == other.send_failures && dups_suppressed == other.dups_suppressed &&
          dsm_retries == other.dsm_retries && dsm_absorbed == other.dsm_absorbed &&
          dsm_write_aborts == other.dsm_write_aborts &&
-         dsm_pages_reclaimed == other.dsm_pages_reclaimed;
+         dsm_pages_reclaimed == other.dsm_pages_reclaimed && unfinished == other.unfinished;
 }
 
 FaultReport CollectFaultReport(const Fabric& fabric, const DsmEngine* dsm,
@@ -379,6 +386,9 @@ void PrintFaultReport(const FaultReport& r) {
             "absorb=" + std::to_string(r.dsm_absorbed),
             "abort=" + std::to_string(r.dsm_write_aborts),
             "reclaim=" + std::to_string(r.dsm_pages_reclaimed)});
+  if (r.unfinished > 0) {
+    PrintRow({"run", "unfinished=" + std::to_string(r.unfinished)});
+  }
 }
 
 TimeNs RunNpbMultiProcess(const Setup& setup, const NpbProfile& profile, uint64_t seed,
@@ -393,12 +403,13 @@ TimeNs RunNpbMultiProcess(const Setup& setup, const NpbProfile& profile, uint64_
   bed.vm->Boot();
   AttachReliability(bed, setup);
   const TimeNs end = RunUntilVmDone(*bed.cluster, *bed.vm, Seconds(600));
-  FV_CHECK(bed.vm->AllFinished());
+  CheckFinishedOrFaulted(bed, bed.vm->AllFinished());
   if (faults_per_sec != nullptr) {
     *faults_per_sec = RatePerSecond(bed.vm->dsm().stats().total_faults(), end);
   }
   if (fault_report != nullptr) {
     *fault_report = CollectFaultReport(bed);
+    fault_report->unfinished = static_cast<uint64_t>(setup.vcpus - bed.vm->finished_vcpus());
   }
   if (msg_stats != nullptr) {
     *msg_stats = CollectMsgStats(bed);
@@ -430,7 +441,7 @@ TimeNs RunOmp(const Setup& setup, const OmpProfile& profile, double* faults_per_
 }
 
 double RunLemp(const Setup& setup, const LempConfig& lemp, double* faults_per_sec,
-               MsgStatsReport* msg_stats) {
+               MsgStatsReport* msg_stats, FaultReport* fault_report) {
   Setup s = setup;
   s.with_client = true;
   FV_CHECK_GE(s.vcpus, lemp.num_php_workers + 1);
@@ -440,7 +451,7 @@ double RunLemp(const Setup& setup, const LempConfig& lemp, double* faults_per_se
   deployment.client->Start();
   const TimeNs end = RunUntil(*bed.cluster, [&]() { return deployment.client->Done(); },
                               Seconds(3000));
-  FV_CHECK(deployment.client->Done());
+  CheckFinishedOrFaulted(bed, deployment.client->Done());
   *deployment.php_stop = true;
   if (faults_per_sec != nullptr) {
     *faults_per_sec = RatePerSecond(bed.vm->dsm().stats().total_faults(), end);
@@ -448,11 +459,16 @@ double RunLemp(const Setup& setup, const LempConfig& lemp, double* faults_per_se
   if (msg_stats != nullptr) {
     *msg_stats = CollectMsgStats(bed);
   }
+  if (fault_report != nullptr) {
+    *fault_report = CollectFaultReport(bed);
+    fault_report->unfinished =
+        static_cast<uint64_t>(lemp.total_requests - deployment.client->completed());
+  }
   return deployment.client->Throughput();
 }
 
 FaasPhaseStats RunFaas(const Setup& setup, const FaasConfig& faas, double* faults_per_sec,
-                       MsgStatsReport* msg_stats) {
+                       MsgStatsReport* msg_stats, FaultReport* fault_report) {
   Setup s = setup;
   s.with_client = true;
   s.blk_backend = BlkBackend::kTmpfs;  // ramdisk root filesystem
@@ -464,12 +480,16 @@ FaasPhaseStats RunFaas(const Setup& setup, const FaasConfig& faas, double* fault
   bed.vm->Boot();
   FaasStartDownloads(*bed.vm, faas, s.vcpus);
   const TimeNs end = RunUntilVmDone(*bed.cluster, *bed.vm, Seconds(3000));
-  FV_CHECK(bed.vm->AllFinished());
+  CheckFinishedOrFaulted(bed, bed.vm->AllFinished());
   if (faults_per_sec != nullptr) {
     *faults_per_sec = RatePerSecond(bed.vm->dsm().stats().total_faults(), end);
   }
   if (msg_stats != nullptr) {
     *msg_stats = CollectMsgStats(bed);
+  }
+  if (fault_report != nullptr) {
+    *fault_report = CollectFaultReport(bed);
+    fault_report->unfinished = static_cast<uint64_t>(s.vcpus - bed.vm->finished_vcpus());
   }
   return stats;
 }

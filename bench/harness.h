@@ -132,6 +132,9 @@ struct TestBed {
   std::unique_ptr<LeaseManager> leases;
 };
 
+// Nodes MakeTestBed builds for `setup`: the compute nodes plus the client
+// (with_client), at least two.
+int TestBedNodes(const Setup& setup);
 TestBed MakeTestBed(const Setup& setup);
 
 // Wires the reliability stack per setup.reliability: heartbeats from every
@@ -160,6 +163,9 @@ struct FaultReport {
   uint64_t dsm_absorbed = 0;
   uint64_t dsm_write_aborts = 0;
   uint64_t dsm_pages_reclaimed = 0;
+  // Work a crash left stranded when the run stopped: vCPUs (npb, faas) or
+  // client requests (lemp) that never finished. Always 0 without a plan.
+  uint64_t unfinished = 0;
 
   bool operator==(const FaultReport& other) const;
 };
@@ -264,13 +270,15 @@ TimeNs RunNpbMultiProcess(const Setup& setup, const NpbProfile& profile, uint64_
 TimeNs RunOmp(const Setup& setup, const OmpProfile& profile, double* faults_per_sec,
               uint64_t seed = 1);
 
-// LEMP closed loop; returns client-observed throughput (req/s).
+// LEMP closed loop; returns client-observed throughput (req/s) over the
+// requests that completed.
 double RunLemp(const Setup& setup, const LempConfig& lemp, double* faults_per_sec = nullptr,
-               MsgStatsReport* msg_stats = nullptr);
+               MsgStatsReport* msg_stats = nullptr, FaultReport* fault_report = nullptr);
 
-// OpenLambda run; returns per-phase means.
+// OpenLambda run; returns per-phase means over the workers that finished.
 FaasPhaseStats RunFaas(const Setup& setup, const FaasConfig& faas,
-                       double* faults_per_sec = nullptr, MsgStatsReport* msg_stats = nullptr);
+                       double* faults_per_sec = nullptr, MsgStatsReport* msg_stats = nullptr,
+                       FaultReport* fault_report = nullptr);
 
 // --- Output helpers (paper-style rows) ---
 

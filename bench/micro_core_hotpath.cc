@@ -170,10 +170,10 @@ struct LinkLookupResult {
   double lookups_per_s = 0;
 };
 
-// Satellite to the rpc-layer link-parameter caching: the per-send
-// link_params() lookup (dense per-pair table, const-ref return) measured in
-// isolation over a pseudo-random pair stream, so the cached-vs-map cost delta
-// stays visible across PRs.
+// The per-send link_params() lookup (a 16-byte dense link entry plus its
+// interned bandwidth profile, returned by value) measured in isolation over a
+// pseudo-random pair stream, so its cost stays visible across changes. Both
+// the latency and the bandwidth feed the sink, as they do on the send path.
 LinkLookupResult BenchLinkParams(uint64_t target_lookups) {
   constexpr int kNodes = 64;
   EventLoop loop;
@@ -189,8 +189,8 @@ LinkLookupResult BenchLinkParams(uint64_t target_lookups) {
     x ^= x << 17;
     const NodeId src = static_cast<NodeId>(x % kNodes);
     const NodeId dst = static_cast<NodeId>((x >> 8) % kNodes);
-    const LinkParams& p = fabric.link_params(src, dst);
-    acc += static_cast<uint64_t>(p.latency);
+    const LinkParams p = fabric.link_params(src, dst);
+    acc += static_cast<uint64_t>(p.latency) + static_cast<uint64_t>(p.bytes_per_second);
   }
   res.wall_s = WallSeconds(t0);
   res.blackhole = acc;

@@ -64,6 +64,7 @@ class AggregateVm : public GuestContext {
 
   bool booted() const { return booted_; }
   bool AllFinished() const;
+  int finished_vcpus() const { return finished_vcpus_; }
   TimeNs boot_time() const { return boot_time_; }
 
   // --- Mobility (FragVisor only) ---

@@ -1,7 +1,9 @@
 #include "src/net/fabric.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <utility>
 
 #include "src/net/capture.h"
 #include "src/sim/check.h"
@@ -9,41 +11,14 @@
 namespace fragvisor {
 
 const char* MsgKindName(MsgKind kind) {
-  switch (kind) {
-    case MsgKind::kDsmReadReq:
-      return "dsm_read_req";
-    case MsgKind::kDsmWriteReq:
-      return "dsm_write_req";
-    case MsgKind::kDsmPageData:
-      return "dsm_page_data";
-    case MsgKind::kDsmInvalidate:
-      return "dsm_invalidate";
-    case MsgKind::kDsmAck:
-      return "dsm_ack";
-    case MsgKind::kIpi:
-      return "ipi";
-    case MsgKind::kTlbShootdown:
-      return "tlb_shootdown";
-    case MsgKind::kIoDoorbell:
-      return "io_doorbell";
-    case MsgKind::kIoPayload:
-      return "io_payload";
-    case MsgKind::kIoCompletion:
-      return "io_completion";
-    case MsgKind::kVcpuMigration:
-      return "vcpu_migration";
-    case MsgKind::kCheckpointData:
-      return "checkpoint_data";
-    case MsgKind::kControl:
-      return "control";
-    case MsgKind::kLease:
-      return "lease";
-    case MsgKind::kDsmOwnerNotify:
-      return "dsm_owner_notify";
-    case MsgKind::kCount:
-      break;
-  }
-  return "unknown";
+  // Indexed by MsgKind, in declaration order.
+  static constexpr const char* kNames[] = {
+      "dsm_read_req", "dsm_write_req", "dsm_page_data", "dsm_invalidate", "dsm_ack",
+      "ipi", "tlb_shootdown", "io_doorbell", "io_payload", "io_completion",
+      "vcpu_migration", "checkpoint_data", "control", "lease", "dsm_owner_notify"};
+  static_assert(std::size(kNames) == static_cast<size_t>(MsgKind::kCount));
+  const auto i = static_cast<size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 LinkParams LinkParams::InfiniBand56G() {
@@ -140,9 +115,10 @@ void Fabric::InitTopologyState() {
     core_busy_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(topology_.core_planes),
                       0);
   }
-  LinkState blank;
-  blank.params = defaults_;
-  links_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_), blank);
+  const size_t pairs = static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_);
+  links_.assign(pairs, LinkEntry{defaults_.latency, 0});
+  link_profile_.assign(pairs, 0);
+  profiles_.assign(1, LinkParams{0, defaults_.bytes_per_second, defaults_.one_sided_setup});
 }
 
 Fabric::Fabric(EventLoop* loop, int num_nodes, LinkParams defaults, TopologyConfig topology)
@@ -168,10 +144,6 @@ Fabric::Fabric(ParallelEventLoop* ploop, int num_nodes, LinkParams defaults,
   InitTopologyState();
   retry_stats_.Init(num_nodes);
   shard_stats_.assign(static_cast<size_t>(num_nodes), FabricStats());
-  shard_retry_.resize(static_cast<size_t>(num_nodes));
-  for (RetryStats& r : shard_retry_) {
-    r.Init(num_nodes);
-  }
 }
 
 void Fabric::ValidateNode(NodeId n) const {
@@ -187,7 +159,13 @@ void Fabric::SetLinkParams(NodeId src, NodeId dst, LinkParams params) {
     // cross-pod pairs get the core hop's propagation on top of the pair link.
     FV_CHECK_GE(params.latency + CrossPodExtra(src, dst), ploop_->lookahead());
   }
-  LinkFor(src, dst).params = params;
+  links_[LinkIndex(src, dst)].latency = std::exchange(params.latency, 0);  // not in profiles
+  const auto it = std::find(profiles_.begin(), profiles_.end(), params);
+  link_profile_[LinkIndex(src, dst)] = static_cast<uint16_t>(it - profiles_.begin());
+  if (it == profiles_.end()) {
+    FV_CHECK_LE(profiles_.size(), size_t{UINT16_MAX});
+    profiles_.push_back(params);
+  }
 }
 
 void Fabric::AttachFaultPlan(FaultPlan* plan, RetryPolicy policy, bool arm) {
@@ -198,10 +176,15 @@ void Fabric::AttachFaultPlan(FaultPlan* plan, RetryPolicy policy, bool arm) {
   FV_CHECK_GT(policy.max_attempts, 0);
   plan_ = plan;
   policy_ = policy;
+  last_arrival_.assign(links_.size(), 0);
   if (ploop_ != nullptr) {
     // The parallel reliable channel draws perturbations from the sending
     // partition, which requires one independent RNG stream per node.
     FV_CHECK(plan_->per_node_streams());
+    shard_retry_.resize(static_cast<size_t>(num_nodes_));
+    for (RetryStats& r : shard_retry_) {
+      r.Init(num_nodes_);
+    }
     if (arm) {
       plan_->ArmParallel(ploop_);
     }
@@ -226,14 +209,16 @@ bool Fabric::NodeUp(NodeId node) const {
   return plan_->NodeUp(node, now);
 }
 
-TimeNs Fabric::WireArrival(NodeId src, NodeId dst, LinkState& link, uint64_t size, TimeNs now) {
+TimeNs Fabric::WireArrival(NodeId src, NodeId dst, uint64_t size, TimeNs now) {
+  LinkEntry& link = links_[LinkIndex(src, dst)];
+  const LinkParams params = link_params(src, dst);
   const TimeNs start = std::max(now, link.busy_until);
-  const TimeNs depart = start + WireTime(link.params, size);
+  const TimeNs depart = start + WireTime(params, size);
   link.busy_until = depart;
   if (SamePod(src, dst)) {
     // Mesh, or both endpoints under one edge switch: the seed-era math,
     // byte for byte.
-    return depart + link.params.latency;
+    return depart + params.latency;
   }
   // Cross-pod fat-tree path: after the pair link (NIC + edge port), the
   // message serializes through the sender's pod uplink at edge bandwidth and
@@ -242,17 +227,17 @@ TimeNs Fabric::WireArrival(NodeId src, NodeId dst, LinkState& link, uint64_t siz
   // arrivals per directed pair stay non-decreasing (the plane choice is a
   // stable hash of the pair).
   TimeNs& uplink = uplink_busy_[static_cast<size_t>(src)];
-  const TimeNs uplink_depart = std::max(depart, uplink) + WireTime(link.params, size);
+  const TimeNs uplink_depart = std::max(depart, uplink) + WireTime(params, size);
   uplink = uplink_depart;
-  LinkParams core = link.params;
-  core.bytes_per_second = link.params.bytes_per_second / topology_.oversub;
+  LinkParams core = params;
+  core.bytes_per_second = params.bytes_per_second / topology_.oversub;
   const int plane = EcmpPlane(src, dst, topology_.core_planes);
   TimeNs& core_horizon =
       core_busy_[static_cast<size_t>(src) * static_cast<size_t>(topology_.core_planes) +
                  static_cast<size_t>(plane)];
   const TimeNs core_depart = std::max(uplink_depart, core_horizon) + WireTime(core, size);
   core_horizon = core_depart;
-  return core_depart + link.params.latency + CrossPodExtra(src, dst);
+  return core_depart + params.latency + CrossPodExtra(src, dst);
 }
 
 Fabric::CommitId Fabric::Commit(NodeId src, NodeId dst, TimeNs arrival, TimeNs receiver_delay,
@@ -300,9 +285,8 @@ TimeNs Fabric::Transmit(NodeId src, NodeId dst, MsgKind kind, uint64_t size, Del
     }
     return sloop->now();
   }
-  LinkState& link = LinkFor(src, dst);
   StatsFor(src).Account(kind, size);
-  const TimeNs arrival = WireArrival(src, dst, link, size, sloop->now());
+  const TimeNs arrival = WireArrival(src, dst, size, sloop->now());
   if (capture_ != nullptr) {
     CaptureDelivery(src, dst, kind, size, arrival, receiver_delay);
   }
@@ -357,12 +341,11 @@ void Fabric::Attempt(Pending* p) {
     Fail(p);
     return;
   }
-  LinkState& link = LinkFor(p->src, p->dst);
   StatsFor(p->src).Account(p->kind, p->size);
-  const TimeNs base_arrival = WireArrival(p->src, p->dst, link, p->size, now);
+  const TimeNs base_arrival = WireArrival(p->src, p->dst, p->size, now);
   FaultPlan::Perturbation pert;
   if (!Lost(p->src, p->dst, now, base_arrival, &pert)) {
-    const TimeNs arrival = ClampArrival(link, base_arrival + pert.extra_delay);
+    const TimeNs arrival = ClampArrival(p->src, p->dst, base_arrival + pert.extra_delay);
     if (!p->winner_scheduled) {
       // The first transmitted copy is always the one the receiver accepts
       // (arrivals on a link are non-decreasing in scheduling order, FIFO at
@@ -382,7 +365,7 @@ void Fabric::Attempt(Pending* p) {
       RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
     }
     if (pert.duplicate) {
-      ClampArrival(link, arrival + pert.duplicate_lag);
+      ClampArrival(p->src, p->dst, arrival + pert.duplicate_lag);
       RetryStatsFor(p->src).dups_suppressed.Add(p->dst);
     }
   }
@@ -465,14 +448,13 @@ void Fabric::SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
   if (!plan_->NodeUp(src, now)) {
     return;  // a crashed node emits nothing, and nobody is told
   }
-  LinkState& link = LinkFor(src, dst);
   StatsFor(src).Account(kind, size);
-  const TimeNs base_arrival = WireArrival(src, dst, link, size, now);
+  const TimeNs base_arrival = WireArrival(src, dst, size, now);
   FaultPlan::Perturbation pert;
   if (Lost(src, dst, now, base_arrival, &pert)) {
     return;
   }
-  const TimeNs arrival = ClampArrival(link, base_arrival + pert.extra_delay);
+  const TimeNs arrival = ClampArrival(src, dst, base_arrival + pert.extra_delay);
   if (capture_ != nullptr) {
     CaptureDelivery(src, dst, kind, size, arrival, receiver_delay);
   }
@@ -484,7 +466,7 @@ void Fabric::SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
   // move-only, so both copies share one heap slot (both land on dst, so
   // only dst's thread ever touches it).
   auto shared = std::make_shared<DeliveryFn>(std::move(on_delivery));
-  const TimeNs dup_arrival = ClampArrival(link, arrival + pert.duplicate_lag);
+  const TimeNs dup_arrival = ClampArrival(src, dst, arrival + pert.duplicate_lag);
   if (capture_ != nullptr) {
     CaptureDelivery(src, dst, kind, size, dup_arrival, receiver_delay);
   }

@@ -86,6 +86,8 @@ struct LinkParams {
   // (--dsm-rdma-read); zero and unread otherwise.
   TimeNs one_sided_setup = 0;
 
+  bool operator==(const LinkParams&) const = default;
+
   // 56 Gbps InfiniBand (Mellanox ConnectX-4 class): ~1.5 us one-way for small
   // messages through one switch.
   static LinkParams InfiniBand56G();
@@ -222,14 +224,20 @@ class Fabric {
     return ploop_->partition(node);
   }
 
-  // Overrides the parameters of the directed link src -> dst.
+  // Overrides the parameters of the directed link src -> dst. Setup-time
+  // only: the bandwidth/setup pair is interned into a profile table that
+  // partitions read without a lock while the run is going.
   void SetLinkParams(NodeId src, NodeId dst, LinkParams params);
 
   // Parameters of the directed link src -> dst (schedulers layered above the
-  // fabric need the serialization bandwidth). The reference stays valid and
-  // current for the fabric's lifetime — hot paths should look it up once per
-  // link, not once per send.
-  const LinkParams& link_params(NodeId src, NodeId dst) { return LinkFor(src, dst).params; }
+  // fabric need the serialization bandwidth): two dense table reads.
+  LinkParams link_params(NodeId src, NodeId dst) const {
+    LinkParams params = profiles_[link_profile_[LinkIndex(src, dst)]];
+    params.latency = links_[LinkIndex(src, dst)].latency;
+    return params;
+  }
+  // Distinct (bandwidth, one-sided setup) profiles, the defaults included.
+  int num_link_profiles() const { return static_cast<int>(profiles_.size()); }
 
   const TopologyConfig& topology() const { return topology_; }
 
@@ -316,7 +324,8 @@ class Fabric {
   // Snapshot restore: writable views of the per-sending-node stats shards
   // (parallel mode) or the single global blocks (serial). Same routing as the
   // fabric's own accounting, exposed so a loaded snapshot can repopulate the
-  // counters it saved.
+  // counters it saved. Retry shards exist only under a fault plan; without one
+  // every node maps to the never-written global block: N zeroed shards.
   FabricStats& StatsShardForRestore(NodeId src) { return StatsFor(src); }
   RetryStats& RetryShardForRestore(NodeId src) { return RetryStatsFor(src); }
 
@@ -329,13 +338,14 @@ class Fabric {
   uint64_t wire_bytes() const { return MergedStats().total_bytes.value(); }
 
  private:
-  struct LinkState {
-    LinkParams params;
+  // What a send reads and writes of one directed link. Bandwidth and
+  // one-sided setup take few distinct values per run, so they live in an
+  // interned profile table that each pair points into with a 2-byte index.
+  struct LinkEntry {
+    TimeNs latency = 0;
     TimeNs busy_until = 0;
-    // Latest arrival handed out on this link while a plan is attached; jittered
-    // and duplicated deliveries clamp to it so FIFO order survives the plan.
-    TimeNs last_arrival = 0;
   };
+  static_assert(sizeof(LinkEntry) == 16);
 
   // Handle of a committed delivery: an EventId on the serial loop, a
   // CrossEventId on the parallel engine (both only ever passed to Withdraw).
@@ -367,12 +377,11 @@ class Fabric {
     EventId timer = kInvalidEventId;
   };
 
-  LinkState& LinkFor(NodeId src, NodeId dst) {
-    return links_[static_cast<size_t>(src) * static_cast<size_t>(num_nodes_) +
-                  static_cast<size_t>(dst)];
+  size_t LinkIndex(NodeId src, NodeId dst) const {
+    return static_cast<size_t>(src) * static_cast<size_t>(num_nodes_) + static_cast<size_t>(dst);
   }
   void ValidateNode(NodeId n) const;
-  // Sizes the link table and the fat-tree congestion horizons.
+  // Sizes the link tables and the fat-tree congestion horizons.
   void InitTopologyState();
 
   // Stats shard for traffic sent by `src` (parallel), or the global block.
@@ -383,7 +392,7 @@ class Fabric {
     return shard_retry_.empty() ? retry_stats_ : shard_retry_[static_cast<size_t>(src)];
   }
 
-  // Computes the arrival time of `size` bytes put on the src -> dst `link` at
+  // Computes the arrival time of `size` bytes put on the src -> dst link at
   // `now`, advancing the link's serialization horizon. Identical for raw and
   // reliable paths. On a fat-tree, cross-pod traffic additionally serializes
   // through the sender's pod uplink and its ECMP core plane; those horizons
@@ -391,7 +400,7 @@ class Fabric {
   // partitions never touch the same state, and successive arrivals on one
   // directed link remain non-decreasing (the property the reliable channel's
   // first-copy-wins argument needs).
-  TimeNs WireArrival(NodeId src, NodeId dst, LinkState& link, uint64_t size, TimeNs now);
+  TimeNs WireArrival(NodeId src, NodeId dst, uint64_t size, TimeNs now);
 
   // Extra propagation latency a src -> dst message pays beyond its pair
   // link's params.latency (the core hop on cross-pod fat-tree paths).
@@ -405,9 +414,10 @@ class Fabric {
   bool Lost(NodeId src, NodeId dst, TimeNs now, TimeNs base_arrival,
             FaultPlan::Perturbation* pert);
   // Clamps a plan-perturbed arrival to the link's FIFO horizon and advances it.
-  static TimeNs ClampArrival(LinkState& link, TimeNs arrival) {
-    link.last_arrival = std::max(arrival, link.last_arrival);
-    return link.last_arrival;
+  TimeNs ClampArrival(NodeId src, NodeId dst, TimeNs arrival) {
+    TimeNs& last = last_arrival_[LinkIndex(src, dst)];
+    last = std::max(arrival, last);
+    return last;
   }
 
   // Puts one copy on the wire with nothing able to lose it (no plan, or
@@ -449,19 +459,26 @@ class Fabric {
   int num_nodes_;
   LinkParams defaults_;
   TopologyConfig topology_;
-  // Link table, indexed src * num_nodes + dst, sized once at construction
-  // (entries and their params references stay stable for the fabric's
-  // lifetime, and a run only ever mutates link (src, dst) from src's
-  // partition).
-  std::vector<LinkState> links_;
+  // Link table and per-pair profile index, both indexed src * num_nodes +
+  // dst and sized once at construction; a run only ever mutates link
+  // (src, dst) from src's partition. Profiles are interned with latency 0;
+  // profile 0 is `defaults_`.
+  std::vector<LinkEntry> links_;
+  std::vector<uint16_t> link_profile_;
+  std::vector<LinkParams> profiles_;
+  // Latest arrival handed out per link while a plan is attached (allocated
+  // by AttachFaultPlan); jittered and duplicated deliveries clamp to it so
+  // FIFO order survives the plan.
+  std::vector<TimeNs> last_arrival_;
   // Fat-tree congestion horizons, all indexed by the sending node (never
   // shared across partitions): the pod uplink, and one entry per (src, core
   // plane) modeling the sender's share of the oversubscribed core.
   std::vector<TimeNs> uplink_busy_;
   std::vector<TimeNs> core_busy_;
   FabricStats stats_;
-  // Per-sending-node shards (parallel mode only): a link (src, dst) is only
-  // ever touched from src's partition, so shard writes never race.
+  // Per-sending-node shards (parallel mode only; the retry shards only
+  // under a fault plan): a link (src, dst) is only ever touched from src's
+  // partition, so shard writes never race.
   std::vector<FabricStats> shard_stats_;
   std::vector<RetryStats> shard_retry_;
 

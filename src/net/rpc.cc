@@ -313,7 +313,7 @@ void RpcLayer::Dispatch(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
   if (!lq.pump_armed && sloop->now() >= lq.next_free && lq.q[0].empty() && lq.q[1].empty()) {
     // Idle link: send through immediately, tracking the serialization
     // horizon so a burst arriving behind this message queues up.
-    lq.next_free = sloop->now() + WireTime(LinkParamsFor(lq, src, dst), size);
+    lq.next_free = sloop->now() + WireTime(fabric_->link_params(src, dst), size);
     fabric_->Send(src, dst, kind, size, std::move(on_delivery), receiver_delay,
                   std::move(on_fail), std::move(on_settle));
     return;
@@ -352,7 +352,7 @@ void RpcLayer::PumpLink(NodeId src, NodeId dst) {
     return;
   }
   QueuedMsg msg = PickNext(lq);
-  lq.next_free = NodeLoop(src)->now() + WireTime(LinkParamsFor(lq, src, dst), msg.size);
+  lq.next_free = NodeLoop(src)->now() + WireTime(fabric_->link_params(src, dst), msg.size);
   fabric_->Send(src, dst, msg.kind, msg.size, std::move(msg.on_delivery), msg.receiver_delay,
                 std::move(msg.on_fail), std::move(msg.on_settle));
   if (!lq.q[0].empty() || !lq.q[1].empty()) {

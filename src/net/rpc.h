@@ -268,17 +268,7 @@ class RpcLayer {
     int current = 0;           // class the DRR pointer visits next
     bool pump_armed = false;   // a drain event is scheduled
     TimeNs next_free = 0;      // serialization horizon of our own sends
-    // Cached fabric link parameters (stable for the fabric's lifetime):
-    // saves a per-send link lookup on the dispatch and pump hot paths.
-    const LinkParams* params = nullptr;
   };
-
-  const LinkParams& LinkParamsFor(LinkQueue& lq, NodeId src, NodeId dst) {
-    if (lq.params == nullptr) {
-      lq.params = &fabric_->link_params(src, dst);
-    }
-    return *lq.params;
-  }
 
   static void Account(ProtoAccounting* account, uint64_t bytes) {
     if (account != nullptr) {

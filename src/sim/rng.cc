@@ -43,18 +43,25 @@ double Rng::NextDouble() {
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   FV_CHECK_LE(lo, hi);
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic throughout: hi - lo overflows int64 for ranges past
+  // 2^63, and an overflow the compiler may assume away would drop the
+  // full-range branch below.
+  const uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (range == 0) {
     // Full 64-bit range.
     return static_cast<int64_t>(NextU64());
   }
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+  // Rejection sampling to avoid modulo bias. The limit is always above
+  // UINT64_MAX - range, so only a draw among the top `range` values pays the
+  // division that computes it.
   uint64_t x = NextU64();
-  while (x >= limit) {
-    x = NextU64();
+  if (x > UINT64_MAX - range) {
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+    while (x >= limit) {
+      x = NextU64();
+    }
   }
-  return lo + static_cast<int64_t>(x % range);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + x % range);
 }
 
 double Rng::UniformDouble(double lo, double hi) {

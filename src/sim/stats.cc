@@ -1,7 +1,9 @@
 #include "src/sim/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace fragvisor {
 
@@ -16,7 +18,15 @@ int Histogram::BucketFor(double sample) {
   if (sample < 1.0) {
     return 0;
   }
-  const int b = static_cast<int>(std::floor(std::log2(sample))) + 1;
+  // floor(log2(sample)) is the unbiased exponent of a double >= 1. Only
+  // within one part in 2^21 below the next power of two (the top 20 mantissa
+  // bits all ones) can std::log2 round up to it; those samples keep the log2
+  // answer, so every bucket is what it always was.
+  const auto bits = std::bit_cast<uint64_t>(sample);
+  constexpr uint64_t kNearNextPow2 = uint64_t{0xfffff} << 32;  // top 20 mantissa bits
+  const int b = (bits & kNearNextPow2) == kNearNextPow2
+                    ? static_cast<int>(std::floor(std::log2(sample))) + 1
+                    : static_cast<int>(bits >> 52) - 1023 + 1;
   return std::min(b, kBuckets - 1);
 }
 

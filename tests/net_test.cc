@@ -1,5 +1,6 @@
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +140,76 @@ TEST_F(FabricTest, LinkTableAtScaleOnBothEngines) {
       // 125000 B at 125 MB/s = 1 ms + 100 us latency on the slow link.
       EXPECT_EQ(slow, Millis(1) + Micros(100));
       EXPECT_LT(fast, Micros(20));
+    }
+  }
+}
+
+// Per-pair latency jitter keeps a link's bandwidth and one-sided setup, so
+// it interns no new profile; Ethernet overrides to and from one node add
+// exactly one. Every pair then reads back exactly what was set.
+TEST_F(FabricTest, LinkProfilesInternAndRoundTripOnBothEngines) {
+  const LinkParams ib = LinkParams::InfiniBand56G();
+  const LinkParams eth = LinkParams::Ethernet1G();
+  for (const int nodes : {64, 513}) {
+    for (const Engine engine : kEngines) {
+      SCOPED_TRACE(std::to_string(nodes) + " nodes, " + EngineName(engine));
+      EngineFabric net(engine, nodes);
+      Fabric& fabric = net.fabric();
+      const NodeId client = nodes - 1;
+      const auto want = [&](NodeId s, NodeId d) {
+        if (s == d) {
+          return ib;  // never set: the defaults
+        }
+        LinkParams p = s == client || d == client ? eth : ib;
+        p.latency += static_cast<TimeNs>((s * 7919 + d * 104729) % 1000);
+        return p;
+      };
+      for (NodeId s = 0; s < nodes; ++s) {
+        for (NodeId d = 0; d < nodes; ++d) {
+          if (s != d) {
+            fabric.SetLinkParams(s, d, want(s, d));
+          }
+        }
+      }
+      EXPECT_EQ(fabric.num_link_profiles(), 2);
+      int mismatches = 0;
+      for (NodeId s = 0; s < nodes; ++s) {
+        for (NodeId d = 0; d < nodes; ++d) {
+          mismatches += fabric.link_params(s, d) == want(s, d) ? 0 : 1;
+        }
+      }
+      EXPECT_EQ(mismatches, 0);
+      EXPECT_EQ(fabric.link_params(client, 0).one_sided_setup, eth.one_sided_setup);
+      EXPECT_EQ(fabric.link_params(0, 1).bytes_per_second, ib.bytes_per_second);
+    }
+  }
+}
+
+// Retry shards exist only under a fault plan. Without one, the merged view
+// and every shard a snapshot reads still hold N zeroed counters per set.
+TEST_F(FabricTest, PlanlessRetryStatsAreZeroedOnBothEngines) {
+  constexpr int kNodes = 16;
+  for (const Engine engine : kEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    EngineFabric net(engine, kNodes);
+    Fabric& fabric = net.fabric();
+    // One slot per receiver: each is written only on its own partition.
+    std::vector<int> delivered(kNodes, 0);
+    for (NodeId s = 0; s < kNodes; ++s) {
+      const NodeId d = (s + 1) % kNodes;
+      fabric.Send(s, d, MsgKind::kControl, 64, [&delivered, d]() { ++delivered[d]; });
+    }
+    net.Run();
+    EXPECT_EQ(delivered, std::vector<int>(kNodes, 1));
+    const RetryStats merged = fabric.MergedRetryStats();
+    for (const NodeCounterSet* set : {&merged.retransmits, &merged.timeouts,
+                                      &merged.send_failures, &merged.dups_suppressed}) {
+      EXPECT_EQ(set->num_nodes(), kNodes);
+      EXPECT_EQ(set->total(), 0u);
+    }
+    for (NodeId n = 0; n < kNodes; ++n) {
+      EXPECT_EQ(fabric.RetryShardForRestore(n).retransmits.num_nodes(), kNodes);
+      EXPECT_EQ(fabric.RetryShardForRestore(n).dups_suppressed.total(), 0u);
     }
   }
 }

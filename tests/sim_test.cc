@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_loop.h"
@@ -175,6 +181,43 @@ TEST(RngTest, UniformIntSingleton) {
   EXPECT_EQ(rng.UniformInt(17, 17), 17);
 }
 
+// UniformInt as it was written, with the rejection limit computed on every
+// draw (and its range arithmetic unsigned, so ranges past 2^63 are defined);
+// the cheaper form must consume and return exactly the same sequence.
+int64_t UniformIntReference(Rng& rng, int64_t lo, int64_t hi) {
+  const uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  if (range == 0) {
+    return static_cast<int64_t>(rng.NextU64());
+  }
+  const uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+  uint64_t x = rng.NextU64();
+  while (x >= limit) {
+    x = rng.NextU64();
+  }
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + x % range);
+}
+
+TEST(RngTest, UniformIntDrawsMatchReference) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // (lo, hi) spanning 1, 2, 63, 64, 1000, 1024, 2^32 + 1, 2^63, 2^63 + 1
+  // values, and the full 64-bit range.
+  const std::vector<std::pair<int64_t, int64_t>> bounds = {
+      {5, 5}, {0, 1}, {-10, 52}, {0, 63}, {1, 1000}, {-512, 511},
+      {0, int64_t{1} << 32}, {0, kMax}, {-1, kMax}, {kMin, kMax}};
+  for (const uint64_t seed : {1ull, 2ull, 42ull, 1001ull, 0xfa017ull}) {
+    for (const auto& [lo, hi] : bounds) {
+      Rng fast(seed);
+      Rng reference(seed);
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(fast.UniformInt(lo, hi), UniformIntReference(reference, lo, hi))
+            << "seed " << seed << " [" << lo << ", " << hi << "] draw " << i;
+      }
+      EXPECT_EQ(fast.NextU64(), reference.NextU64());  // same stream position
+    }
+  }
+}
+
 TEST(RngTest, ExponentialMean) {
   Rng rng(11);
   double sum = 0;
@@ -267,6 +310,59 @@ TEST(StatsTest, HistogramPercentiles) {
   EXPECT_GE(h.Percentile(100), 512.0);  // top bucket upper bound clamped to max
   EXPECT_LE(h.Percentile(100), 1000.0);
   EXPECT_GE(h.Percentile(0.1), 1.0);
+}
+
+// The bucket a lone sample lands in, read back through the public API.
+int BucketOf(double sample) {
+  Histogram h;
+  h.Record(sample);
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    if (h.bucket(b) == 1) {
+      return b;
+    }
+  }
+  return -1;
+}
+
+// Bucketing as it was written with libm: floor(log2(x)) + 1, clamped.
+int BucketReference(double sample) {
+  if (sample < 1.0) {
+    return 0;
+  }
+  return std::min(static_cast<int>(std::floor(std::log2(sample))) + 1, Histogram::kBuckets - 1);
+}
+
+// The double `n` representable steps below the positive double `x`.
+double UlpsBelow(double x, int64_t n) {
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(x) - static_cast<uint64_t>(n));
+}
+
+TEST(StatsTest, HistogramBucketsMatchLog2Reference) {
+  std::vector<double> samples = {0.0, 0.5, 1.0};
+  for (int k = 1; k <= 61; ++k) {
+    const double p = std::ldexp(1.0, k);
+    samples.insert(samples.end(), {p - 1.0, p, p + 1.0, UlpsBelow(p, 1)});
+    // Both sides of the window where the bucket defers to log2.
+    samples.insert(samples.end(), {UlpsBelow(p, int64_t{1} << 32),
+                                   UlpsBelow(p, (int64_t{1} << 32) + 1)});
+  }
+  for (int k = 62; k <= 70; ++k) {
+    samples.push_back(std::ldexp(1.0, k));
+  }
+  Rng rng(7);
+  for (int i = 0; i < 200000; ++i) {
+    // Uniform mantissas over every octave, integer-valued samples, and
+    // samples a few ulps below a power of two, where log2 rounds up.
+    const int k = static_cast<int>(rng.UniformInt(0, 63));
+    samples.push_back(std::ldexp(1.0 + rng.NextDouble(), k));
+    samples.push_back(static_cast<double>(rng.NextU64() >> rng.UniformInt(0, 63)));
+    samples.push_back(UlpsBelow(std::ldexp(1.0, k + 1), rng.UniformInt(1, int64_t{1} << 34)));
+  }
+  for (const double x : samples) {
+    ASSERT_EQ(BucketOf(x), BucketReference(x)) << "sample " << x;
+  }
+  EXPECT_EQ(BucketOf(std::ldexp(1.0, 62)), Histogram::kBuckets - 1);
+  EXPECT_EQ(BucketOf(std::numeric_limits<double>::infinity()), Histogram::kBuckets - 1);
 }
 
 TEST(StatsTest, HistogramEmptySafe) {

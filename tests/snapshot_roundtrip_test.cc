@@ -6,9 +6,12 @@
 // tier-1 approximation of a fresh process; ci.sh additionally round-trips
 // through two separate fvsim processes.
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "gtest/gtest.h"
+#include "src/cluster/marketplace.h"
 #include "src/net/capture.h"
 #include "src/workload/dsmstorm.h"
 
@@ -146,6 +149,50 @@ TEST(SnapshotRoundtrip, CaptureOfResumedRunMatchesSuffix) {
     EXPECT_EQ(a.kind, b.kind) << "record " << i;
     EXPECT_EQ(a.payload_hash, b.payload_hash) << "record " << i;
   }
+}
+
+// FNV-1a over a snapshot's bytes, as hex.
+std::string Fingerprint(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+std::string StormSnapshot(const StormOptions& opts, int threads) {
+  std::string snapshot;
+  StormRunConfig cfg;
+  cfg.snapshot_out = &snapshot;
+  cfg.snapshot_epoch = 1;
+  RunStormEx(opts, threads, cfg);
+  return snapshot;
+}
+
+// Snapshot bytes are part of the on-disk contract: how the fabric lays out
+// its per-pair state (retry shards and FIFO clamps only under a fault plan)
+// must not change a byte of them, plan-less or faulted, on either engine.
+TEST(SnapshotRoundtrip, BytesPinnedWithAndWithoutFaultPlan) {
+  EXPECT_EQ(Fingerprint(StormSnapshot(SmallStorm(), 2)), "bd1a465554e63f27");
+  EXPECT_EQ(Fingerprint(StormSnapshot(FaultyStorm(), 2)), "3aed64c91e9de48c");
+  EXPECT_EQ(Fingerprint(StormSnapshot(FaultyStorm(), 0)), "ce26a8d63c1d10f5");
+
+  MarketplaceOptions mo;
+  mo.num_nodes = 6;
+  mo.vcpus_per_node = 4;
+  mo.trace.kind = ArrivalKind::kFlash;
+  mo.trace.vms = 30;
+  mo.trace.max_vcpus = 8;
+  mo.trace.requests_per_vcpu = 500;
+  mo.epochs = 2;
+  std::string snapshot;
+  MarketplaceRunConfig cfg;
+  cfg.snapshot_out = &snapshot;
+  cfg.snapshot_epoch = 1;
+  RunMarketplaceEx(mo, 2, cfg);
+  EXPECT_EQ(Fingerprint(snapshot), "b14bd12b4d0f7bac");
 }
 
 TEST(SnapshotRoundtrip, EpochsDefaultUnchanged) {

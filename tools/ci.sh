@@ -45,7 +45,7 @@ for config in "${configs[@]}"; do
     # engines.
     echo "=== [$config] ctest (tier1 parallel core) ==="
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L tier1 \
-      -R 'Parallel|MarketplaceTest\.ReportByteIdenticalAcrossWorkerCounts|ClusterThreadsTest|FabricFaultTest\.|FabricTest\.LinkTableAtScaleOnBothEngines'
+      -R 'Parallel|MarketplaceTest\.ReportByteIdenticalAcrossWorkerCounts|ClusterThreadsTest|FabricFaultTest\.|FabricTest\..*OnBothEngines'
     continue
   fi
 

@@ -124,8 +124,11 @@ void ReadReliabilitySpec(KeyValues& args, Setup* setup) {
   }
 }
 
-Setup MakeSetup(KeyValues& args) {
+// `with_client` adds the external client node lemp and faas run with, so
+// fault flags may name it.
+Setup MakeSetup(KeyValues& args, bool with_client = false) {
   Setup setup;
+  setup.with_client = with_client;
   setup.vcpus = args.Get("vcpus", 4);
   if (const std::string error = ParseSystem(args.Str("system", "fragvisor"), &setup);
       !error.empty()) {
@@ -154,6 +157,20 @@ Setup MakeSetup(KeyValues& args) {
   setup.dsm_compress = args.Get("dsm-compress", false);
   ReadFaultSpec(args, &setup);
   ReadReliabilitySpec(args, &setup);
+  // Fault flags may only name nodes of the testbed the command builds.
+  const int nodes = bench::TestBedNodes(setup);
+  const auto check = [&](const char* flag, NodeId n) {
+    if (n < 0 || n >= nodes) {
+      args.Fail(flag, "node " + std::to_string(n) + " is outside the " + std::to_string(nodes) +
+                          "-node testbed");
+    }
+  };
+  for (const auto& e : setup.faults.crashes) check("fault-crash", e.node);
+  for (const auto& e : setup.faults.restarts) check("fault-restart", e.node);
+  for (const auto& p : setup.faults.partitions) {
+    check("fault-partition", p.a);
+    check("fault-partition", p.b);
+  }
   return setup;
 }
 
@@ -237,7 +254,7 @@ int RunNpb(KeyValues& args) {
 }
 
 int RunLempCmd(KeyValues& args) {
-  const Setup setup = MakeSetup(args);
+  const Setup setup = MakeSetup(args, /*with_client=*/true);
   LempConfig lemp;
   lemp.num_php_workers = setup.vcpus - 1;
   const int processing_ms = args.Get("processing-ms", 100);
@@ -248,15 +265,19 @@ int RunLempCmd(KeyValues& args) {
   if (!Ready(args)) return 2;
   double faults = 0;
   bench::MsgStatsReport msg_stats;
-  const double tput = bench::RunLemp(setup, lemp, &faults, &msg_stats);
+  bench::FaultReport report;
+  const double tput = bench::RunLemp(setup, lemp, &faults, &msg_stats, &report);
   std::printf("LEMP %d vCPUs on %s, %d ms requests: %.1f req/s (%.0f DSM faults/s)\n",
               setup.vcpus, bench::SystemName(setup.system), processing_ms, tput, faults);
+  if (setup.faults.enabled()) {
+    bench::PrintFaultReport(report);
+  }
   bench::PrintMsgStats(msg_stats);
   return WriteOutput(msg_stats_path, bench::MsgStatsJson(msg_stats), "msg stats") ? 0 : 2;
 }
 
 int RunFaasCmd(KeyValues& args) {
-  const Setup setup = MakeSetup(args);
+  const Setup setup = MakeSetup(args, /*with_client=*/true);
   FaasConfig faas;
   faas.download_bytes = args.Get<uint64_t>("download-mb", 4) << 20;
   faas.extract_bytes = args.Get<uint64_t>("extract-mb", 16) << 20;
@@ -264,12 +285,16 @@ int RunFaasCmd(KeyValues& args) {
   const std::string msg_stats_path = args.Str("msg-stats");
   if (!Ready(args)) return 2;
   bench::MsgStatsReport msg_stats;
-  const FaasPhaseStats stats = bench::RunFaas(setup, faas, nullptr, &msg_stats);
+  bench::FaultReport report;
+  const FaasPhaseStats stats = bench::RunFaas(setup, faas, nullptr, &msg_stats, &report);
   std::printf("OpenLambda %d workers on %s: download %.1f ms, extract %.1f ms, "
               "detect %.1f ms, total %.1f ms\n",
               setup.vcpus, bench::SystemName(setup.system), stats.download_ns.mean() / 1e6,
               stats.extract_ns.mean() / 1e6, stats.detect_ns.mean() / 1e6,
               stats.total_ns.mean() / 1e6);
+  if (setup.faults.enabled()) {
+    bench::PrintFaultReport(report);
+  }
   bench::PrintMsgStats(msg_stats);
   return WriteOutput(msg_stats_path, bench::MsgStatsJson(msg_stats), "msg stats") ? 0 : 2;
 }
