@@ -296,7 +296,7 @@ SweepPoint RunSweepPoint(double gbps, double oversub, bool quick) {
   if (oversub > 0.0) {
     so.topology = TopologyConfig::FatTree(/*pod_size=*/4, oversub);
   }
-  const StormResult r = RunStorm(so, /*threads=*/0);
+  const StormResult r = RunStorm(so, /*threads=*/1);
   SweepPoint p;
   p.gbps = gbps;
   p.oversub = oversub;

@@ -165,7 +165,6 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   EventLoop& loop() { return ploop_ != nullptr ? *ploop_->partition(0) : loop_; }
-  ParallelEventLoop* parallel_loop() { return ploop_.get(); }
   Fabric& fabric() { return *fabric_; }
   RpcLayer& rpc() { return *rpc_; }
   const CostModel& costs() const { return costs_; }

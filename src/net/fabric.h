@@ -239,8 +239,6 @@ class Fabric {
   // Distinct (bandwidth, one-sided setup) profiles, the defaults included.
   int num_link_profiles() const { return static_cast<int>(profiles_.size()); }
 
-  const TopologyConfig& topology() const { return topology_; }
-
   // True when `a` and `b` hang off the same edge switch (always true on a
   // mesh: there is no switch tier to cross).
   bool SamePod(NodeId a, NodeId b) const {
@@ -268,7 +266,6 @@ class Fabric {
   // NodeUp/LinkCut queries need only the plan's static schedule.
   void AttachFaultPlan(FaultPlan* plan, RetryPolicy policy = RetryPolicy(), bool arm = true);
   const FaultPlan* fault_plan() const { return plan_; }
-  FaultPlan* mutable_fault_plan() { return plan_; }
 
   // True unless an attached plan says `node` is crashed right now.
   bool NodeUp(NodeId node) const;
@@ -315,7 +312,6 @@ class Fabric {
   // detach). Every committed wire delivery is recorded — see capture.h for
   // exactly which commit points count.
   void SetCapture(CaptureLog* capture) { capture_ = capture; }
-  CaptureLog* capture() const { return capture_; }
 
   const FabricStats& stats() const { return stats_; }
   FabricStats& mutable_stats() { return stats_; }

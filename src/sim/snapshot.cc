@@ -159,6 +159,17 @@ bool SnapshotReader::BytesInto(void* dst, size_t size) {
   return true;
 }
 
+bool SnapshotReader::NeedItems(uint64_t count, size_t size) {
+  if (!ok()) {
+    return false;
+  }
+  if (count > (payload_end_ - pos_) / size) {
+    Fail("count " + std::to_string(count) + " exceeds the rest of the stream");
+    return false;
+  }
+  return true;
+}
+
 std::string SnapshotReader::Str() {
   const uint32_t len = U32();
   if (!ok()) {

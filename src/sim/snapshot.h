@@ -27,7 +27,7 @@
 namespace fragvisor {
 
 inline constexpr uint64_t kSnapshotMagic = 0x50414e5356474246ull;  // "FBGVSNAP"
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 // FNV-1a over a byte range (the container checksum and the payload hashes of
 // capture records both use it).
@@ -79,6 +79,9 @@ class SnapshotReader {
   // Copies `size` raw bytes into `dst`; on a short stream, latches the error
   // and leaves `dst` untouched. Returns ok().
   bool BytesInto(void* dst, size_t size);
+  // Latches an error unless `count` items of `size` bytes each remain, so a
+  // corrupt count prefix is refused before anything is sized from it.
+  bool NeedItems(uint64_t count, size_t size);
 
   // Consumes the next section header and checks its tag. On mismatch the
   // error names both the expected and the found tag.

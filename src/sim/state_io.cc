@@ -59,7 +59,7 @@ void SaveNodeCounterSet(SnapshotWriter* w, const NodeCounterSet& s) {
 
 void LoadNodeCounterSet(SnapshotReader* r, NodeCounterSet* s) {
   const uint32_t nodes = r->U32();
-  if (!r->ok()) {
+  if (!r->NeedItems(nodes, sizeof(uint64_t))) {
     return;
   }
   NodeCounterSet staged(static_cast<int>(nodes));

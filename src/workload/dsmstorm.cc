@@ -66,21 +66,16 @@ class Storm {
   Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg);
   StormResult Run(const StormRunConfig& cfg);
 
-  // Restores a snapshot taken by a run with identical StormOptions on the
-  // same engine kind. On failure, latches the reader's error into `error`
+  // Restores a snapshot taken by a run with identical StormOptions at any
+  // worker count. On failure, latches the reader's error into `error`
   // and returns false; the Storm instance may be partially mutated and must
   // be discarded (RunStormEx never runs a failed load).
   bool Load(const std::string& data, std::string* error);
 
  private:
-  EventLoop* NodeLoop(int32_t node) {
-    return ploop_ != nullptr ? ploop_->partition(node) : serial_.get();
-  }
-
-  TimeNs Now() const { return ploop_ != nullptr ? ploop_->now_max() : serial_->now(); }
+  EventLoop* NodeLoop(int32_t node) { return ploop_->partition(node); }
 
   void ScheduleEpochKickoffs();
-  void RunEngine();
   std::string Save();
 
   void DoAccess(int32_t node, int stream);
@@ -93,7 +88,6 @@ class Storm {
 
   const StormOptions opts_;
   const int threads_;
-  std::unique_ptr<EventLoop> serial_;
   std::unique_ptr<ParallelEventLoop> ploop_;
   std::unique_ptr<FaultPlan> plan_;
   std::unique_ptr<Fabric> fabric_;
@@ -104,7 +98,7 @@ class Storm {
 };
 
 Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
-    : opts_(opts), threads_(threads) {
+    : opts_(opts), threads_(threads < 1 ? 1 : threads) {
   FV_CHECK_GT(opts.num_nodes, 0);
   FV_CHECK_GT(opts.streams_per_node, 0);
   FV_CHECK_GT(opts.accesses_per_stream, 0);
@@ -115,22 +109,16 @@ Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
   FV_CHECK_LE(static_cast<int64_t>(opts.num_nodes) * opts.pages_per_node, int64_t{1} << 40);
   FV_CHECK_GE(opts.cache_slots, 0);
   FV_CHECK_GE(opts.epochs, 1);
-  FV_CHECK_GE(threads, 0);
 
-  if (threads > 0) {
-    ParallelEventLoop::Options po;
-    po.num_partitions = opts.num_nodes;
-    po.num_threads = threads;
-    // The minimum effective first-hop latency is the cluster-wide floor:
-    // jitter only ever adds, and a fat-tree's cross-pod paths only ever add
-    // on top of that. On a mesh this is exactly the link latency.
-    po.lookahead = Fabric::MinEffectiveLatency(opts.topology, opts.link, opts.num_nodes);
-    ploop_ = std::make_unique<ParallelEventLoop>(po);
-    fabric_ = std::make_unique<Fabric>(ploop_.get(), opts.num_nodes, opts.link, opts.topology);
-  } else {
-    serial_ = std::make_unique<EventLoop>();
-    fabric_ = std::make_unique<Fabric>(serial_.get(), opts.num_nodes, opts.link, opts.topology);
-  }
+  ParallelEventLoop::Options po;
+  po.num_partitions = opts.num_nodes;
+  po.num_threads = threads_;
+  // The minimum effective first-hop latency is the cluster-wide floor:
+  // jitter only ever adds, and a fat-tree's cross-pod paths only ever add
+  // on top of that. On a mesh this is exactly the link latency.
+  po.lookahead = Fabric::MinEffectiveLatency(opts.topology, opts.link, opts.num_nodes);
+  ploop_ = std::make_unique<ParallelEventLoop>(po);
+  fabric_ = std::make_unique<Fabric>(ploop_.get(), opts.num_nodes, opts.link, opts.topology);
 
   if (opts.latency_jitter_ns > 0 && opts.num_nodes > 1) {
     for (int32_t s = 0; s < opts.num_nodes; ++s) {
@@ -149,9 +137,8 @@ Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
 
   if (opts.faulty()) {
     plan_ = std::make_unique<FaultPlan>(SplitMix(opts.seed ^ 0xfa017ull));
-    // Per-node draw streams on BOTH engines: the serial engine does not need
-    // them for correctness, but using one configuration everywhere keeps the
-    // fault schedule a function of StormOptions alone per engine.
+    // Per-node draw streams keep the fault schedule independent of how the
+    // partitions interleave, hence of the worker count.
     plan_->EnablePerNodeStreams(opts.num_nodes);
     if (opts.drop_prob > 0 || opts.dup_prob > 0 || opts.extra_delay_max > 0) {
       LinkFaultProfile prof;
@@ -183,7 +170,7 @@ Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
     fabric_->SetCapture(cfg.capture);
   }
 
-  rpc_ = std::make_unique<RpcLayer>(serial_.get(), fabric_.get(), RpcConfig{});
+  rpc_ = std::make_unique<RpcLayer>(nullptr, fabric_.get(), RpcConfig{});
 
   nodes_.resize(static_cast<size_t>(opts.num_nodes));
   for (int32_t n = 0; n < opts.num_nodes; ++n) {
@@ -220,7 +207,7 @@ Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
 // is a pure function of the (deterministic) drain time, so a resumed run
 // schedules the identical kickoffs the uninterrupted run does.
 void Storm::ScheduleEpochKickoffs() {
-  const TimeNs now = Now();
+  const TimeNs now = ploop_->now_max();
   const TimeNs base = now == 0 ? 0 : now + opts_.link.latency + 1;
   for (int32_t n = 0; n < opts_.num_nodes; ++n) {
     NodeState& ns = nodes_[static_cast<size_t>(n)];
@@ -231,10 +218,6 @@ void Storm::ScheduleEpochKickoffs() {
       NodeLoop(n)->ScheduleAt(start, [this, n, s] { DoAccess(n, s); });
     }
   }
-}
-
-void Storm::RunEngine() {
-  events_ += ploop_ != nullptr ? ploop_->Run() : serial_->Run();
 }
 
 void Storm::DoAccess(int32_t node, int stream) {
@@ -309,8 +292,7 @@ void Storm::HandleRead(const RpcLayer::Inbound& in) {
   const size_t page = static_cast<size_t>(gpid % opts_.pages_per_node);
   ++hs.c.served_reads;
   // Reader tracking feeds write invalidation; with no caches (or no writes)
-  // it is dead state, and skipping the update keeps the commutative
-  // configuration order-independent across engines.
+  // it is dead state and stays -1.
   if (opts_.write_frac > 0 && opts_.cache_slots > 0) {
     hs.last_reader[page] = req;
   }
@@ -389,7 +371,6 @@ std::string Storm::Save() {
   SnapshotWriter w;
   w.BeginSection("storm.run");
   w.U64(OptionsFingerprint(kOptionsTag, StormOptionTable(), opts_));
-  w.U8(ploop_ != nullptr ? 1 : 0);
   w.U32(static_cast<uint32_t>(completed_epochs_));
   w.U64(events_);
 
@@ -398,13 +379,9 @@ std::string Storm::Save() {
   // provably equivalent to a fresh object's state, so the clocks are the
   // only engine state on the wire.
   w.BeginSection("storm.clocks");
-  if (ploop_ != nullptr) {
-    for (int p = 0; p < opts_.num_nodes; ++p) {
-      w.I64(ploop_->partition(p)->now());
-      w.U32(ploop_->next_cancellable_token(p));
-    }
-  } else {
-    w.I64(serial_->now());
+  for (int p = 0; p < opts_.num_nodes; ++p) {
+    w.I64(ploop_->partition(p)->now());
+    w.U32(ploop_->next_cancellable_token(p));
   }
 
   w.BeginSection("storm.nodes");
@@ -459,7 +436,6 @@ bool Storm::Load(const std::string& data, std::string* error) {
     return fail();
   }
   const uint64_t fingerprint = r.U64();
-  const bool parallel = r.U8() != 0;
   const uint32_t epochs_done = r.U32();
   const uint64_t events = r.U64();
   if (!r.ok()) {
@@ -467,12 +443,6 @@ bool Storm::Load(const std::string& data, std::string* error) {
   }
   if (fingerprint != OptionsFingerprint(kOptionsTag, StormOptionTable(), opts_)) {
     r.FailExternal("storm: snapshot was taken under different StormOptions");
-    return fail();
-  }
-  if (parallel != (ploop_ != nullptr)) {
-    r.FailExternal(parallel
-                       ? "storm: snapshot was taken on the parallel engine (use --threads >= 1)"
-                       : "storm: snapshot was taken on the serial engine (use --threads 0)");
     return fail();
   }
   if (epochs_done > static_cast<uint32_t>(opts_.epochs)) {
@@ -486,17 +456,11 @@ bool Storm::Load(const std::string& data, std::string* error) {
   if (!r.Section("storm.clocks")) {
     return fail();
   }
-  std::vector<TimeNs> nows;
-  std::vector<uint32_t> tokens;
-  if (ploop_ != nullptr) {
-    nows.reserve(static_cast<size_t>(opts_.num_nodes));
-    tokens.reserve(static_cast<size_t>(opts_.num_nodes));
-    for (int p = 0; p < opts_.num_nodes; ++p) {
-      nows.push_back(r.I64());
-      tokens.push_back(r.U32());
-    }
-  } else {
-    nows.push_back(r.I64());
+  std::vector<TimeNs> nows(static_cast<size_t>(opts_.num_nodes));
+  std::vector<uint32_t> tokens(static_cast<size_t>(opts_.num_nodes));
+  for (size_t p = 0; p < nows.size(); ++p) {
+    nows[p] = r.I64();
+    tokens[p] = r.U32();
   }
   if (!r.ok()) {
     return fail();
@@ -582,13 +546,9 @@ bool Storm::Load(const std::string& data, std::string* error) {
   // Commit. Rng streams inside the fault plan were restored in place above;
   // a failure past that point discards the whole Storm, so partial mutation
   // is unobservable.
-  if (ploop_ != nullptr) {
-    for (int p = 0; p < opts_.num_nodes; ++p) {
-      ploop_->partition(p)->AdvanceTo(nows[static_cast<size_t>(p)]);
-      ploop_->RestoreCancellableToken(p, tokens[static_cast<size_t>(p)]);
-    }
-  } else {
-    serial_->AdvanceTo(nows[0]);
+  for (int p = 0; p < opts_.num_nodes; ++p) {
+    ploop_->partition(p)->AdvanceTo(nows[static_cast<size_t>(p)]);
+    ploop_->RestoreCancellableToken(p, tokens[static_cast<size_t>(p)]);
   }
   nodes_ = std::move(staged);
   CommitTransportShards(staged_transport, fabric_.get(), rpc_.get());
@@ -600,7 +560,7 @@ bool Storm::Load(const std::string& data, std::string* error) {
 StormResult Storm::Run(const StormRunConfig& cfg) {
   for (int e = completed_epochs_; e < opts_.epochs; ++e) {
     ScheduleEpochKickoffs();
-    RunEngine();
+    events_ += ploop_->Run();
     completed_epochs_ = e + 1;
     if (cfg.snapshot_out != nullptr && completed_epochs_ == cfg.snapshot_epoch) {
       *cfg.snapshot_out = Save();
@@ -612,7 +572,7 @@ StormResult Storm::Run(const StormRunConfig& cfg) {
     r.per_node.push_back(ns.c);
     r.totals.Accumulate(ns.c);
   }
-  r.finish_time = ploop_ != nullptr ? ploop_->now_max() : serial_->now();
+  r.finish_time = ploop_->now_max();
   r.events_dispatched = events_;
   r.state_digest = Digest();
   r.fabric = fabric_->MergedStats();
@@ -622,11 +582,8 @@ StormResult Storm::Run(const StormRunConfig& cfg) {
     r.faults = plan_->MergedStats();
     r.used_fault_plan = true;
   }
-  r.parallel = ploop_ != nullptr;
   r.threads = threads_;
-  if (ploop_ != nullptr) {
-    r.core = ploop_->stats();
-  }
+  r.core = ploop_->stats();
   return r;
 }
 
@@ -720,8 +677,8 @@ StormResult RunStormEx(const StormOptions& opts, int threads, const StormRunConf
 }
 
 std::string StormReport(const StormResult& r) {
-  // Deliberately engine-agnostic: no thread count, no parallel-core stats.
-  // Two runs satisfy the determinism contract iff these bytes match.
+  // No thread count and no parallel-core stats: two runs satisfy the
+  // determinism contract iff these bytes match.
   std::string out;
   out.reserve(4096 + r.per_node.size() * 96);
   const auto line = [&out](const std::string& s) {
@@ -729,10 +686,8 @@ std::string StormReport(const StormResult& r) {
     out += '\n';
   };
   const auto u = [](uint64_t v) { return std::to_string(v); };
-  // events_dispatched is deliberately absent: the parallel engine runs extra
-  // bookkeeping events (winner-settle markers, per-partition timers) that the
-  // serial engine doesn't, so it is worker-count-invariant but not
-  // engine-invariant.
+  // events_dispatched is absent: it counts engine bookkeeping events
+  // (winner-settle markers, per-partition timers) as well as protocol ones.
   line("finish_ns=" + std::to_string(r.finish_time));
   line("digest=" + u(r.state_digest));
   line("totals local=" + u(r.totals.local_accesses) + " cache_hits=" + u(r.totals.cache_hits) +

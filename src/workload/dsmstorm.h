@@ -7,19 +7,11 @@
 // kDsmAck plus a kDsmInvalidate to the page's last cached reader. All node
 // state (stream RNGs, the direct-mapped page cache, the home-side
 // version/last-reader arrays, the counters) is owned by exactly one node, so
-// the storm runs unmodified on the serial EventLoop and on the partitioned
-// ParallelEventLoop.
+// the storm runs on the partitioned ParallelEventLoop, one partition per node,
+// without any locking.
 //
-// Determinism contract:
-//  - For a fixed engine, the result (and StormReport()) is a pure function of
-//    StormOptions — in particular it is byte-identical across ParallelEventLoop
-//    worker counts, including with faults enabled.
-//  - Across engines (serial vs. parallel), byte-identity additionally requires
-//    a commutative configuration (write_frac == 0 and cache_slots == 0, no
-//    faults): the two engines commit equal-time cross-node arrivals in
-//    different relative orders, which is observable only through
-//    order-dependent state (cache contents, last-reader tracking, fault RNG
-//    draw interleaving).
+// Determinism contract: the result (and StormReport()) is a pure function of
+// StormOptions at any worker count, faults included.
 #ifndef FRAGVISOR_SRC_WORKLOAD_DSMSTORM_H_
 #define FRAGVISOR_SRC_WORKLOAD_DSMSTORM_H_
 
@@ -42,7 +34,7 @@ struct StormOptions {
   int accesses_per_stream = 200;
   int pages_per_node = 64;
   // Direct-mapped remote-page cache per node; 0 disables caching entirely
-  // (every remote read goes home — the commutative configuration).
+  // (every remote read goes home).
   int cache_slots = 16;
   double remote_frac = 0.7;  // fraction of accesses that leave the node
   double write_frac = 0.3;   // fraction of remote accesses that are writes
@@ -64,7 +56,7 @@ struct StormOptions {
   TopologyConfig topology;
 
   // Fault injection (any non-zero knob attaches a FaultPlan with per-node
-  // RNG streams, on both engines).
+  // RNG streams).
   double drop_prob = 0.0;
   double dup_prob = 0.0;
   TimeNs extra_delay_max = 0;
@@ -108,8 +100,8 @@ struct StormResult {
   std::vector<StormCounters> per_node;
   StormCounters totals;
   TimeNs finish_time = 0;  // simulated time of the last event
-  // Worker-count-invariant but NOT engine-invariant (the parallel engine runs
-  // extra bookkeeping events), so it is excluded from StormReport().
+  // Worker-count-invariant, but it counts engine bookkeeping events too, so
+  // it is excluded from StormReport().
   uint64_t events_dispatched = 0;
   uint64_t state_digest = 0;     // FNV-1a over all node-owned end state
 
@@ -119,18 +111,14 @@ struct StormResult {
   FaultPlanStats faults;  // merged; zero without a fault plan
   bool used_fault_plan = false;
 
-  // Engine info. `core` is populated only when parallel == true; it is
-  // identical across worker counts but is intentionally NOT part of
-  // StormReport() so the commutative serial-vs-parallel comparison stays
-  // engine-agnostic.
-  bool parallel = false;
+  // Engine info, not part of StormReport(): the worker count the run used
+  // and the parallel core's window statistics.
   int threads = 0;
   ParallelEventLoop::RunStats core;
 };
 
-// Runs the storm to completion. threads == 0 selects the serial EventLoop
-// engine; threads >= 1 selects the ParallelEventLoop with one partition per
-// node and `threads` workers.
+// Runs the storm to completion on the ParallelEventLoop with one partition
+// per node and max(1, threads) workers.
 StormResult RunStorm(const StormOptions& opts, int threads);
 
 // Snapshot / record-replay hooks for one storm run (DESIGN.md §10).
@@ -141,10 +129,10 @@ struct StormRunConfig {
   std::string* snapshot_out = nullptr;
   int snapshot_epoch = 0;
 
-  // Load: resume from this snapshot instead of starting at epoch 0. The
-  // engine kind (serial vs parallel) and every StormOptions field must match
-  // the saving run; the parallel worker count may differ. A resumed run's
-  // StormReport() is byte-identical to the uninterrupted run's.
+  // Load: resume from this snapshot instead of starting at epoch 0. Every
+  // StormOptions field must match the saving run; the worker count may
+  // differ. A resumed run's StormReport() is byte-identical to the
+  // uninterrupted run's.
   const std::string* snapshot_in = nullptr;
 
   // Load-failure sink: the reader's error lands here and RunStormEx returns

@@ -165,7 +165,7 @@ TEST(OptionTablesTest, StormAccountsForEveryAccessAtTheStreamLimit) {
   so.accesses_per_stream = 2;
   so.cache_slots = 0;
   ASSERT_EQ(Validate(so), "");
-  const StormResult r = RunStorm(so, 0);
+  const StormResult r = RunStorm(so, 1);
   EXPECT_EQ(r.totals.local_accesses + r.totals.cache_hits + r.totals.remote_reads +
                 r.totals.remote_writes,
             4u * 256u * 2u);
@@ -173,7 +173,7 @@ TEST(OptionTablesTest, StormAccountsForEveryAccessAtTheStreamLimit) {
 
   so.streams_per_node = 257;
   EXPECT_EQ(Validate(so), "streams: 257 is out of range [1, 256]");
-  EXPECT_DEATH(RunStorm(so, 0), "FV_CHECK failed");
+  EXPECT_DEATH(RunStorm(so, 1), "FV_CHECK failed");
 }
 
 TEST(OptionTablesTest, ValidateRefusesFaultsOnMissingNodes) {

@@ -48,23 +48,5 @@ TEST(ParallelDeterminismTest, StormByteIdenticalAcrossWorkerCountsSeedSweep) {
   }
 }
 
-TEST(ParallelDeterminismTest, CommutativeConfigMatchesSerialSeedSweep) {
-  // Cross-ENGINE byte-identity only holds for commutative configurations
-  // with no faults (dsmstorm.h): the two engines commit equal-time arrivals
-  // in different relative orders, observable through fault RNG draw
-  // interleaving — so fault knobs stay off here. The faulted seed sweep
-  // above covers cross-WORKER-COUNT identity, which does include faults.
-  for (uint64_t s = 0; s < 4; ++s) {
-    StormOptions so;
-    so.num_nodes = 24;
-    so.streams_per_node = 2;
-    so.accesses_per_stream = 50;
-    so.cache_slots = 0;
-    so.write_frac = 0.0;
-    so.seed = BaseSeed() * 2000 + s;
-    EXPECT_EQ(StormReport(RunStorm(so, 0)), StormReport(RunStorm(so, 4))) << "seed=" << so.seed;
-  }
-}
-
 }  // namespace
 }  // namespace fragvisor

@@ -486,21 +486,24 @@ StormOptions SmallStorm() {
 }
 
 TEST(ParallelStormTest, ByteIdenticalAcrossWorkerCounts) {
-  const StormOptions so = SmallStorm();
-  const StormResult r1 = RunStorm(so, 1);
-  const std::string ref = StormReport(r1);
-  ASSERT_FALSE(ref.empty());
-  EXPECT_GT(r1.totals.remote_reads, 0u);
-  EXPECT_GT(r1.totals.remote_writes, 0u);
-  for (const int threads : {2, 4, 8}) {
-    const StormResult r = RunStorm(so, threads);
-    EXPECT_EQ(StormReport(r), ref) << "threads=" << threads;
-    // The window decomposition itself is part of the determinism contract.
-    EXPECT_EQ(r.events_dispatched, r1.events_dispatched) << "threads=" << threads;
-    EXPECT_EQ(r.core.barriers, r1.core.barriers) << "threads=" << threads;
-    EXPECT_EQ(r.core.mailbox_events, r1.core.mailbox_events) << "threads=" << threads;
-    EXPECT_EQ(r.core.events_per_partition, r1.core.events_per_partition)
-        << "threads=" << threads;
+  // The small storm, and the default 64-node x 4-stream x 200-access one.
+  for (const StormOptions& so : {SmallStorm(), StormOptions()}) {
+    SCOPED_TRACE("nodes=" + std::to_string(so.num_nodes));
+    const StormResult r1 = RunStorm(so, 1);
+    const std::string ref = StormReport(r1);
+    ASSERT_FALSE(ref.empty());
+    EXPECT_GT(r1.totals.remote_reads, 0u);
+    EXPECT_GT(r1.totals.remote_writes, 0u);
+    for (const int threads : {2, 4, 8}) {
+      const StormResult r = RunStorm(so, threads);
+      EXPECT_EQ(StormReport(r), ref) << "threads=" << threads;
+      // The window decomposition itself is part of the determinism contract.
+      EXPECT_EQ(r.events_dispatched, r1.events_dispatched) << "threads=" << threads;
+      EXPECT_EQ(r.core.barriers, r1.core.barriers) << "threads=" << threads;
+      EXPECT_EQ(r.core.mailbox_events, r1.core.mailbox_events) << "threads=" << threads;
+      EXPECT_EQ(r.core.events_per_partition, r1.core.events_per_partition)
+          << "threads=" << threads;
+    }
   }
 }
 
@@ -527,29 +530,23 @@ TEST(ParallelStormTest, ByteIdenticalAcrossWorkerCountsUnderFaults) {
   }
 }
 
-TEST(ParallelStormTest, SerialEngineMatchesParallelOnCommutativeConfig) {
-  // With no caches and no writes, every surviving observable is a commutative
-  // sum, so the serial engine and the parallel engine must agree exactly —
-  // this pins the parallel Fabric/RpcLayer send paths to the serial ones.
-  StormOptions so = SmallStorm();
-  so.cache_slots = 0;
-  so.write_frac = 0.0;
-  const std::string serial = StormReport(RunStorm(so, 0));
-  const std::string parallel = StormReport(RunStorm(so, 1));
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(ParallelStormTest, SerialEngineMatchesParallelOnCommutativeConfigUnderFaults) {
-  // Faults stay engine-identical on the commutative config because each
-  // node's perturbation draws come from its own stream in its own send order.
-  StormOptions so = SmallStorm();
-  so.cache_slots = 0;
-  so.write_frac = 0.0;
-  so.drop_prob = 0.05;
-  so.extra_delay_max = Micros(2);
-  const std::string serial = StormReport(RunStorm(so, 0));
-  const std::string parallel = StormReport(RunStorm(so, 4));
-  EXPECT_EQ(serial, parallel);
+TEST(ParallelStormTest, ZeroWorkersRunsOneWorker) {
+  // threads == 0 is one worker, not a second engine: the same report on the
+  // storm-lossy-links scenario, which has caches, writes and faults.
+  StormOptions so;
+  so.num_nodes = 12;
+  so.streams_per_node = 3;
+  so.accesses_per_stream = 100;
+  so.drop_prob = 0.03;
+  so.dup_prob = 0.01;
+  so.extra_delay_max = Micros(3);
+  so.seed = 9;
+  so.epochs = 2;
+  const StormResult r = RunStorm(so, 0);
+  EXPECT_GT(r.totals.invalidations, 0u);
+  EXPECT_GT(r.faults.messages_dropped.value(), 0u);
+  EXPECT_EQ(r.threads, 1);
+  EXPECT_EQ(StormReport(r), StormReport(RunStorm(so, 1)));
 }
 
 TEST(ParallelStormTest, StormCompletesAllAccessesWithoutFaults) {

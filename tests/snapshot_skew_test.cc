@@ -4,6 +4,7 @@
 // never a crash. The fuzz cases mutate a real storm snapshot with a seeded
 // RNG so every CI run exercises the same mutations.
 
+#include <cstdint>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -32,7 +33,7 @@ std::string TakeSnapshot(const StormOptions& opts) {
   StormRunConfig cfg;
   cfg.snapshot_out = &snapshot;
   cfg.snapshot_epoch = 1;
-  RunStormEx(opts, /*threads=*/0, cfg);
+  RunStormEx(opts, /*threads=*/1, cfg);
   return snapshot;
 }
 
@@ -53,7 +54,7 @@ std::string ExpectLoadFails(const StormOptions& opts, const std::string& snapsho
   cfg.snapshot_in = &snapshot;
   std::string error;
   cfg.error = &error;
-  const StormResult r = RunStormEx(opts, /*threads=*/0, cfg);
+  const StormResult r = RunStormEx(opts, /*threads=*/1, cfg);
   EXPECT_FALSE(error.empty());
   // A refused load never partially runs: the default-constructed result has
   // no per-node state at all.
@@ -84,7 +85,7 @@ TEST(SnapshotSkew, TruncationsAllRefused) {
 TEST(SnapshotSkew, SeededBitFlipsAllRefusedOrHarmless) {
   const StormOptions opts = TinyStorm();
   const std::string snapshot = TakeSnapshot(opts);
-  const std::string want = StormReport(RunStorm(opts, 0));
+  const std::string want = StormReport(RunStorm(opts, 1));
   Rng rng(0xD15C0);
   for (int trial = 0; trial < 64; ++trial) {
     std::string mutated = snapshot;
@@ -101,7 +102,7 @@ TEST(SnapshotSkew, SeededBitFlipsAllRefusedOrHarmless) {
     cfg.snapshot_in = &mutated;
     std::string error;
     cfg.error = &error;
-    const StormResult r = RunStormEx(opts, /*threads=*/0, cfg);
+    const StormResult r = RunStormEx(opts, /*threads=*/1, cfg);
     EXPECT_FALSE(error.empty());
     EXPECT_TRUE(r.per_node.empty());
   }
@@ -132,7 +133,7 @@ TEST(SnapshotSkew, ResealedSemanticCorruptionRefused) {
     cfg.snapshot_in = &mutated;
     std::string error;
     cfg.error = &error;
-    const StormResult r = RunStormEx(opts, /*threads=*/0, cfg);
+    const StormResult r = RunStormEx(opts, /*threads=*/1, cfg);
     if (!error.empty()) {
       ++refused;
       EXPECT_TRUE(r.per_node.empty());
@@ -153,16 +154,24 @@ TEST(SnapshotSkew, WrongOptionsRefused) {
   EXPECT_NE(error.find("StormOptions"), std::string::npos) << error;
 }
 
-TEST(SnapshotSkew, WrongEngineRefused) {
-  const StormOptions opts = TinyStorm();
-  const std::string snapshot = TakeSnapshot(opts);  // serial-engine snapshot
-  StormRunConfig cfg;
-  cfg.snapshot_in = &snapshot;
-  std::string error;
-  cfg.error = &error;
-  const StormResult r = RunStormEx(opts, /*threads=*/2, cfg);
-  EXPECT_NE(error.find("serial engine"), std::string::npos) << error;
-  EXPECT_TRUE(r.per_node.empty());
+TEST(SnapshotSkew, CounterSetCountPastTheStreamRefused) {
+  // A count prefix is checked against the bytes left before anything is
+  // sized from it: 2^32 - 1 would be a negative node count, 2^20 a large
+  // allocation for a stream that holds one value.
+  for (const uint32_t count : {0xffffffffu, 1u << 20}) {
+    SnapshotWriter w;
+    w.BeginSection("counters");
+    w.U32(count);
+    w.U64(7);
+    const std::string data = w.Finish();
+    SnapshotReader r(data);
+    ASSERT_TRUE(r.Section("counters"));
+    NodeCounterSet set(3);
+    LoadNodeCounterSet(&r, &set);
+    EXPECT_FALSE(r.ok()) << count;
+    EXPECT_NE(r.error().find("exceeds the rest of the stream"), std::string::npos) << r.error();
+    EXPECT_EQ(set.num_nodes(), 3);
+  }
 }
 
 }  // namespace

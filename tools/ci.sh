@@ -120,16 +120,13 @@ for config in "${configs[@]}"; do
         -j "$jobs" -L tier2 -R ClusterChaosSweep
     done
 
-    # Perf trajectory + fast-path gates, release only. Both benches write
-    # BENCH_*.json artifacts into build-ci/artifacts/; ablation_dsm_fastpath
+    # Fast-path and determinism gates, release only. Each bench writes a
+    # BENCH_*.json artifact into build-ci/artifacts/; ablation_dsm_fastpath
     # exits non-zero (failing CI here) when any swept configuration violates
-    # the coherence invariants or changes workload results.
+    # the coherence invariants or changes workload results. Timing lives in
+    # perfbench/, not here.
     artifacts="build-ci/artifacts"
     mkdir -p "$artifacts"
-    echo "=== [$config] bench: micro_core_hotpath ==="
-    "$build_dir/bench/micro_core_hotpath" --events 500000 --accesses 500000 \
-      --out "$artifacts/BENCH_core_hotpath.json" \
-      --parallel-out "$artifacts/BENCH_parallel_core.json"
     echo "=== [$config] bench: ablation_dsm_fastpath (invariant gate) ==="
     "$build_dir/bench/ablation_dsm_fastpath" --quick \
       --out "$artifacts/BENCH_dsm_fastpath.json"

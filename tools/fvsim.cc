@@ -345,8 +345,8 @@ struct Snapshots {
 
 // DSM coherence storm on the parallel simulation core.
 //
-//   fvsim storm --threads 4                      # ParallelEventLoop, 4 workers
-//   fvsim storm                                  # legacy serial EventLoop
+//   fvsim storm                                  # ParallelEventLoop, 1 worker
+//   fvsim storm --threads 4                      # 4 workers
 //   fvsim storm --threads 2 --report             # + canonical determinism dump
 //
 // The canonical report (--report) is byte-identical across --threads values
@@ -360,7 +360,7 @@ struct Snapshots {
 int RunStormCmd(KeyValues& args) {
   StormOptions so;
   ReadOptions(StormOptionTable(), args, &so);
-  const int threads = args.Get("threads", 0, kThreads);
+  const int threads = args.Get("threads", 1, kThreads);
   const std::string capture_path = args.Str("capture");
   const std::string report_path = args.Str("report");
   StormRunConfig cfg;
@@ -378,7 +378,7 @@ int RunStormCmd(KeyValues& args) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   if (!snapshots.Finish(cfg.snapshot_epoch, "epoch")) return 2;
   if (capture != nullptr) {
-    // The config blob is the table plus the recording engine, so `fvsim
+    // The config blob is the table plus the worker count, so `fvsim
     // replay` re-runs the captured configuration with no flags.
     const std::string data = capture->Serialize("workload=storm\n" +
                                                 FormatOptions(StormOptionTable(), so) +
@@ -391,12 +391,10 @@ int RunStormCmd(KeyValues& args) {
                 capture_path.c_str());
   }
 
-  std::printf("storm %d nodes x %d streams on %s: %.2f ms simulated, %llu events "
+  std::printf("storm %d nodes x %d streams on parallel[%d]: %.2f ms simulated, %llu events "
               "(%.0f events/s wall), digest %016llx\n",
-              so.num_nodes, so.streams_per_node,
-              threads > 0 ? (std::string("parallel[") + std::to_string(threads) + "]").c_str()
-                          : "serial",
-              ToMillis(r.finish_time), static_cast<unsigned long long>(r.events_dispatched),
+              so.num_nodes, so.streams_per_node, r.threads, ToMillis(r.finish_time),
+              static_cast<unsigned long long>(r.events_dispatched),
               wall_s > 0 ? static_cast<double>(r.events_dispatched) / wall_s : 0.0,
               static_cast<unsigned long long>(r.state_digest));
   if (so.topology.fat_tree()) {
@@ -417,42 +415,40 @@ int RunStormCmd(KeyValues& args) {
                 static_cast<unsigned long long>(r.faults.messages_delayed.value()));
   }
 
-  if (threads > 0) {
-    // Parallelism report: how the run decomposed into conservative windows.
-    const ParallelEventLoop::RunStats& c = r.core;
-    uint64_t part_min = ~0ull;
-    uint64_t part_max = 0;
-    uint64_t part_sum = 0;
-    for (const uint64_t e : c.events_per_partition) {
-      part_min = std::min(part_min, e);
-      part_max = std::max(part_max, e);
-      part_sum += e;
-    }
-    const double part_mean = c.events_per_partition.empty()
-                                 ? 0.0
-                                 : static_cast<double>(part_sum) /
-                                       static_cast<double>(c.events_per_partition.size());
-    std::printf("parallel core report (%d partitions, %d workers):\n",
-                static_cast<int>(c.events_per_partition.size()), threads);
-    std::printf("  barriers           %llu (%.1f events/window)\n",
-                static_cast<unsigned long long>(c.barriers),
-                c.barriers > 0 ? static_cast<double>(c.events_dispatched) /
-                                     static_cast<double>(c.barriers)
-                               : 0.0);
-    std::printf("  partitions run     mean %.1f, min %.0f, max %.0f per window\n",
-                c.partitions_run.mean(), c.partitions_run.min(), c.partitions_run.max());
-    std::printf("  horizon advance    mean %.0f ns, min %.0f, max %.0f\n",
-                c.horizon_width_ns.mean(), c.horizon_width_ns.min(), c.horizon_width_ns.max());
-    std::printf("  events/partition   min %llu, mean %.1f, max %llu\n",
-                static_cast<unsigned long long>(part_min == ~0ull ? 0 : part_min), part_mean,
-                static_cast<unsigned long long>(part_max));
-    std::printf("  mailbox deliveries %llu cross-partition events\n",
-                static_cast<unsigned long long>(c.mailbox_events));
-    std::printf("  cross cancels      %llu routed, %llu applied, %llu late\n",
-                static_cast<unsigned long long>(c.cross_cancels_routed),
-                static_cast<unsigned long long>(c.cross_cancels_applied),
-                static_cast<unsigned long long>(c.cross_cancels_late));
+  // Parallelism report: how the run decomposed into conservative windows.
+  const ParallelEventLoop::RunStats& c = r.core;
+  uint64_t part_min = ~0ull;
+  uint64_t part_max = 0;
+  uint64_t part_sum = 0;
+  for (const uint64_t e : c.events_per_partition) {
+    part_min = std::min(part_min, e);
+    part_max = std::max(part_max, e);
+    part_sum += e;
   }
+  const double part_mean = c.events_per_partition.empty()
+                               ? 0.0
+                               : static_cast<double>(part_sum) /
+                                     static_cast<double>(c.events_per_partition.size());
+  std::printf("parallel core report (%d partitions, %d workers):\n",
+              static_cast<int>(c.events_per_partition.size()), r.threads);
+  std::printf("  barriers           %llu (%.1f events/window)\n",
+              static_cast<unsigned long long>(c.barriers),
+              c.barriers > 0 ? static_cast<double>(c.events_dispatched) /
+                                   static_cast<double>(c.barriers)
+                             : 0.0);
+  std::printf("  partitions run     mean %.1f, min %.0f, max %.0f per window\n",
+              c.partitions_run.mean(), c.partitions_run.min(), c.partitions_run.max());
+  std::printf("  horizon advance    mean %.0f ns, min %.0f, max %.0f\n",
+              c.horizon_width_ns.mean(), c.horizon_width_ns.min(), c.horizon_width_ns.max());
+  std::printf("  events/partition   min %llu, mean %.1f, max %llu\n",
+              static_cast<unsigned long long>(part_min == ~0ull ? 0 : part_min), part_mean,
+              static_cast<unsigned long long>(part_max));
+  std::printf("  mailbox deliveries %llu cross-partition events\n",
+              static_cast<unsigned long long>(c.mailbox_events));
+  std::printf("  cross cancels      %llu routed, %llu applied, %llu late\n",
+              static_cast<unsigned long long>(c.cross_cancels_routed),
+              static_cast<unsigned long long>(c.cross_cancels_applied),
+              static_cast<unsigned long long>(c.cross_cancels_late));
 
   return WriteOutput(report_path, StormReport(r), "storm report") ? 0 : 2;
 }
@@ -561,8 +557,7 @@ int RunClusterCmd(KeyValues& args) {
 //   fvsim replay --capture run.fvcap [--threads N]
 //
 // --threads overrides the recorded worker count — legal because the capture
-// order is worker-count-invariant; the engine KIND still comes from the
-// recording (0 stays serial, >=1 stays parallel).
+// order is worker-count-invariant.
 int RunReplayCmd(KeyValues& args) {
   const std::string path = args.Str("capture");
   if (path.empty()) {
@@ -585,19 +580,13 @@ int RunReplayCmd(KeyValues& args) {
   config.Get<std::string>("workload", "storm", OneOf("storm"));
   StormOptions so;
   ReadOptions(StormOptionTable(), config, &so);
-  const int recorded_threads = config.Get("threads", 0, kThreads);
+  const int recorded_threads = config.Get("threads", 1, kThreads);
   if (!config.Finish(Validate(so))) {
     std::fprintf(stderr, "capture '%s' config: %s\n", path.c_str(), config.error().c_str());
     return 2;
   }
   const int threads = args.Get("threads", recorded_threads, kThreads);
   if (!Ready(args)) return 2;
-  if ((threads > 0) != (recorded_threads > 0)) {
-    std::fprintf(stderr, "capture was recorded on the %s engine; --threads must stay %s\n",
-                 recorded_threads > 0 ? "parallel" : "serial",
-                 recorded_threads > 0 ? ">= 1" : "0");
-    return 2;
-  }
 
   CaptureLog live(so.num_nodes);
   StormRunConfig cfg;
@@ -699,7 +688,7 @@ int List() {
   std::printf("leases:  --lease-ms T [--lease-renew-ms T] (lease borrowed resources)\n");
   std::printf("threads: --threads N on npb/lemp/faas hosts the testbed clock on the\n");
   std::printf("         parallel engine (byte-identical output); on storm/cluster it is\n");
-  std::printf("         the parallel core's worker count\n\n");
+  std::printf("         the parallel core's worker count (default 1; 0 means 1)\n\n");
   std::printf("NPB benchmarks: %s\nOMP profiles:  ", NpbNames());
   for (const OmpProfile& p : OmpSuite()) {
     std::printf(" %s", p.name.c_str());

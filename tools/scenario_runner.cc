@@ -3,21 +3,22 @@
 // A scenario is a flat JSON file under scenarios/ pinning one deterministic
 // simulation configuration to the FNV-1a hash of its canonical report:
 //
-//   { "name": "storm-serial-baseline", "kind": "storm",
-//     "nodes": 16, "accesses": 120, "epochs": 2, "threads": 0,
-//     "expect": "0x1234abcd5678ef90" }
+//   { "name": "storm-lossy-links", "kind": "storm",
+//     "nodes": 12, "accesses": 100, "fault_drop": 0.03, "epochs": 2,
+//     "compare_threads": 3, "expect": "0x1234abcd5678ef90" }
 //
 // Kinds:
 //   storm  — RunStorm; every StormOptions table key (StormOptionTable(), the
-//            `fvsim storm` flags with '_' for '-') configures the run, and
-//            "threads" picks the engine. Report = StormReport().
+//            `fvsim storm` flags with '_' for '-') configures the run.
+//            Report = StormReport().
 //   cluster — the multi-tenant marketplace (DESIGN.md §11–12) over the
 //            MarketplaceOptionTable() keys; fault schedules are strings such
 //            as "fault_crash": "3@7" (node@ms). Report = MarketplaceReport().
-//            Both take the optional cross-checks "compare_threads" (re-run at
-//            another worker count, reports must be byte-equal) and
-//            "verify_resume" (snapshot at epoch 1, resume in-process, the
-//            resumed report must be byte-equal too).
+//            Both run on "threads" workers (default 1) and take the optional
+//            cross-checks "compare_threads" (re-run at another worker count,
+//            reports must be byte-equal) and "verify_resume" (snapshot at
+//            epoch 1, resume in-process, the resumed report must be
+//            byte-equal too).
 //   golden — the 10k-page DSM golden trace; keys hints/replicate/adaptive
 //            toggle fast paths, "empty_plan" attaches an empty FaultPlan,
 //            "snapshot_roundtrip" save/loads the engine mid-trace. Report =
@@ -59,12 +60,12 @@ constexpr OptionLimits kThreads = Between(0, 256);
 // false with `p` in error when the file is unusable, else with *error set
 // when a check fails.
 template <typename Opts, typename RunConfig, typename Result>
-bool RunPinned(KeyValues& p, const OptionTable<Opts>& table, int default_threads,
+bool RunPinned(KeyValues& p, const OptionTable<Opts>& table,
                Result (*run)(const Opts&, int, const RunConfig&),
                std::string (*report_of)(const Result&), std::string* report, std::string* error) {
   Opts opts;
   ReadOptions(table, p, &opts);
-  const int threads = p.Get("threads", default_threads, kThreads);
+  const int threads = p.Get("threads", 1, kThreads);
   const int other = p.Get("compare_threads", -1, kThreads);
   const bool verify_resume = p.Get("verify_resume", false);
   if (!p.Finish(Validate(opts))) return false;
@@ -195,14 +196,14 @@ int RunScenarioFile(const std::string& path, bool print_only) {
   std::string error;
   bool ok = false;
   if (kind == "storm") {
-    ok = RunPinned(p, StormOptionTable(), 0, &RunStormEx, &StormReport, &report, &error);
+    ok = RunPinned(p, StormOptionTable(), &RunStormEx, &StormReport, &report, &error);
   } else if (kind == "golden") {
     ok = RunGoldenScenario(p, &report, &error);
   } else if (kind == "npb") {
     ok = RunNpbScenario(p, &report, &error);
   } else if (kind == "cluster") {
-    ok = RunPinned(p, MarketplaceOptionTable(), 1, &RunMarketplaceEx, &MarketplaceReport,
-                   &report, &error);
+    ok = RunPinned(p, MarketplaceOptionTable(), &RunMarketplaceEx, &MarketplaceReport, &report,
+                   &error);
   } else {
     p.Fail("kind", "'" + kind + "' is not storm|golden|npb|cluster");
   }
